@@ -4,8 +4,10 @@
 //! A [`Comm`] is one rank's handle on a communication context. It
 //! bundles the world-shared mailboxes, the rank's clock, and a context
 //! id that isolates message matching between communicators (so
-//! `split`/`dup` behave like MPI communicators). Routes are looked up
-//! in the machine-wide shared table (`MachineNet::split_route`).
+//! `split`/`dup` behave like MPI communicators). The sender looks its
+//! world-rank route up once in the machine-wide shared table
+//! (`MachineNet::split_route`) and carries it to the receiver in the
+//! [`Envelope`], so each message costs one lookup.
 //!
 //! Two send flavors exist:
 //!
@@ -25,12 +27,12 @@
 
 use crate::collectives::ReduceOp;
 use crate::engine::{EngineCfg, RankState};
-use crate::mailbox::{Mailbox, Match, PushOutcome};
+use crate::mailbox::{Claim, Mailbox, Match, PushOutcome};
 use crate::message::{Envelope, Payload, RecvInfo, Tag, COLLECTIVE_BASE};
 use crate::sched::SimScheduler;
 use crate::wire;
 use beff_faults::{BeffError, FaultSession};
-use beff_netsim::MachineNet;
+use beff_netsim::{MachineNet, SplitRoute};
 use beff_sim::Secs;
 use beff_sync::{Mutex, Rank};
 use std::cell::RefCell;
@@ -59,12 +61,12 @@ fn wire_fault_delay(
     st: &mut RankState,
     net: &Arc<MachineNet>,
     fs: &Arc<FaultSession>,
+    sr: &SplitRoute,
     wsrc: usize,
     wdst: usize,
     bytes: u64,
 ) {
     let plan = fs.plan();
-    let sr = net.split_route(wsrc, wdst);
     let links = net.links();
     let route_dead = sr
         .egress
@@ -274,7 +276,15 @@ impl Comm {
 
     // ----- point to point -----------------------------------------------
 
-    fn deliver(&self, dst: usize, tag: Tag, head: Secs, arrival: Secs, payload: Payload) {
+    fn deliver(
+        &self,
+        dst: usize,
+        tag: Tag,
+        head: Secs,
+        arrival: Secs,
+        payload: Payload,
+        route: Option<Arc<SplitRoute>>,
+    ) {
         let wdst = self.ranks[dst];
         let outcome = self.shared.mailboxes[wdst].push(Envelope {
             ctx: self.ctx,
@@ -283,6 +293,7 @@ impl Comm {
             head,
             arrival,
             payload,
+            route,
         });
         // Targeted wakeup: only a push that completed a posted receive
         // makes the receiver runnable again. Queued pushes wake no one.
@@ -309,13 +320,11 @@ impl Comm {
             return mb.recv(m);
         };
         loop {
-            if let Some(env) = mb.try_recv(m) {
-                return env;
-            }
-            if mb.is_poisoned() {
-                BeffError::PeerFailed.raise();
-            }
-            let ticket = mb.post(m);
+            let ticket = match mb.claim_or_post(m) {
+                Claim::Ready(env) => return env,
+                Claim::Poisoned => BeffError::PeerFailed.raise(),
+                Claim::Posted(ticket) => ticket,
+            };
             sched.yield_blocked(wr);
             // Woken: either our slot was filled, or the world died.
             if let Some(env) = mb.take_delivered(ticket) {
@@ -329,14 +338,15 @@ impl Comm {
         assert!(dst < self.size(), "send to rank {dst} of {}", self.size());
         match self.shared.engine.as_ref() {
             EngineCfg::Real => {
-                self.deliver(dst, tag, 0.0, 0.0, payload);
+                self.deliver(dst, tag, 0.0, 0.0, payload, None);
                 0.0
             }
             EngineCfg::Sim { net, faults, .. } => {
-                let (injected, head, finish) = {
+                let (injected, head, finish, sr) = {
                     let mut st = self.state.borrow_mut();
                     let wsrc = self.ranks[self.rank];
                     let wdst = self.ranks[dst];
+                    let sr = net.split_route(wsrc, wdst);
                     match faults {
                         None => st.clock.advance(net.params().o_send),
                         Some(fs) => {
@@ -351,6 +361,7 @@ impl Comm {
                                     &mut st,
                                     net,
                                     fs,
+                                    &sr,
                                     wsrc,
                                     wdst,
                                     payload.len(),
@@ -359,11 +370,10 @@ impl Comm {
                         }
                     }
                     let t0 = st.clock.now();
-                    let sr = net.split_route(wsrc, wdst);
                     let eg = net.price_egress(&sr.egress, payload.len(), t0);
-                    (eg.injected, eg.head, eg.finish)
+                    (eg.injected, eg.head, eg.finish, sr)
                 };
-                self.deliver(dst, tag, head, finish, payload);
+                self.deliver(dst, tag, head, finish, payload, Some(sr));
                 injected
             }
         }
@@ -427,13 +437,16 @@ impl Comm {
     }
 
     /// Apply receive timing: drain the message through the receiver's
-    /// ingress resources (its node memory + port-in), then pay o_recv.
+    /// ingress resources (its node memory + port-in) along the route
+    /// the sender carried, then pay o_recv.
     fn apply_recv_time(&mut self, env: &Envelope) {
-        if let EngineCfg::Sim { net, faults, .. } = self.shared.engine.as_ref() {
+        // Every sim-mode send carries its route (`do_send`); real-mode
+        // envelopes carry none and cost nothing here.
+        if let (EngineCfg::Sim { net, faults, .. }, Some(sr)) =
+            (self.shared.engine.as_ref(), &env.route)
+        {
             let mut st = self.state.borrow_mut();
-            let wsrc = self.ranks[env.src];
             let wdst = self.ranks[self.rank];
-            let sr = net.split_route(wsrc, wdst);
             let done =
                 net.price_ingress(&sr.ingress, env.payload.len(), env.head, env.arrival);
             st.clock.advance_to(done);

@@ -106,7 +106,8 @@ impl RankClock {
 ///
 /// Routes are *not* per-rank state: they live on the machine-wide
 /// [`MachineNet`] route table (`net.split_route`), shared by all ranks
-/// of all worlds on that machine.
+/// of all worlds on that machine. The sender looks a message's route
+/// up once and hands it to the receiver inside the envelope.
 ///
 /// Lives in an `Rc<RefCell<..>>` shared by all communicators of the
 /// rank so that time keeps flowing across `Comm::split`.

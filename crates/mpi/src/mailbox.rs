@@ -18,7 +18,7 @@
 use crate::message::{Envelope, Tag};
 use beff_sim::port::{Message, Port};
 
-pub use beff_sim::port::PushOutcome;
+pub use beff_sim::port::{Claim, PushOutcome};
 
 /// Matching pattern for a receive.
 #[derive(Debug, Clone, Copy)]
@@ -64,7 +64,7 @@ mod tests {
     use std::time::Duration;
 
     fn env(ctx: u32, src: usize, tag: Tag) -> Envelope {
-        Envelope { ctx, src, tag, head: 0.0, arrival: 0.0, payload: Payload::Len(0) }
+        Envelope { ctx, src, tag, head: 0.0, arrival: 0.0, payload: Payload::Len(0), route: None }
     }
 
     #[test]

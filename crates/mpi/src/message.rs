@@ -7,7 +7,9 @@
 //! messages (collective reductions, control data) always carry real
 //! bytes.
 
+use beff_netsim::SplitRoute;
 use beff_sim::Secs;
+use std::sync::Arc;
 
 /// Message tag. Tags below [`COLLECTIVE_BASE`] are free for user
 /// code; the collective algorithms use the space above it.
@@ -56,6 +58,10 @@ pub struct Envelope {
     /// and completes no earlier than this.
     pub arrival: Secs,
     pub payload: Payload,
+    /// The world-rank route the sender priced its egress half on (sim
+    /// mode; `None` in real mode). The receiver drains the ingress half
+    /// of the same route, so it never looks the pair up again.
+    pub route: Option<Arc<SplitRoute>>,
 }
 
 /// Result of a completed receive.

@@ -152,6 +152,7 @@ fn two_queue_mailbox_matches_linear_scan_reference() {
             head: 0.0,
             arrival: 0.0,
             payload: Payload::Len(serial),
+            route: None,
         };
         for _ in 0..g.usize(1..=120) {
             let ctx = g.u32(0..=1);
@@ -264,6 +265,7 @@ fn targeted_wakeups_never_lose_a_blocked_receiver() {
                             head: 0.0,
                             arrival: 0.0,
                             payload: Payload::Len(i),
+                            route: None,
                         });
                     }
                     if i % 8 == 0 {
@@ -308,6 +310,50 @@ fn bcast_any_root_any_payload() {
             ensure_eq!(&d, &*payload);
         }
     });
+}
+
+/// The receiver prices ingress on the route the sender carried, which
+/// is looked up by *world* ranks. A sub-communicator with reversed keys
+/// (comm rank = n-1-world rank) must therefore time a ring exactly like
+/// the same exchange written with world-rank peers on the world
+/// communicator: if the carried route were keyed by communicator ranks,
+/// the ingress links — and the finish times — would differ.
+#[test]
+fn carried_route_is_the_world_rank_pair() {
+    fn finish_times(on_sub: bool) -> Vec<u64> {
+        let net = Arc::new(MachineNet::new(
+            Topology::Torus3D { dims: [2, 2, 2] },
+            NetParams::default(),
+        ));
+        World::sim(net).run(move |c| {
+            let n = c.size();
+            let w = c.rank();
+            // Both variants pay the same split, so the ring starts from
+            // identical clocks and link state.
+            let Some(mut sub) = c.split(Some(0), -(w as i64)) else {
+                unreachable!("every rank passes a color")
+            };
+            assert_eq!(sub.rank(), n - 1 - w);
+            assert_eq!(sub.world_rank(), w);
+            let mut rbuf = vec![0u8; 1 << 16];
+            for (round, len) in [8usize, 4096, 1 << 16].into_iter().enumerate() {
+                let sbuf = vec![round as u8; len];
+                let tag = round as u32;
+                if on_sub {
+                    let (to, from) = ((sub.rank() + 1) % n, (sub.rank() + n - 1) % n);
+                    sub.payload_sendrecv(to, tag, &sbuf, Some(from), Some(tag), &mut rbuf);
+                } else {
+                    // sub rank r+1 is world rank w-1; sub rank r-1 is w+1
+                    let (to, from) = ((w + n - 1) % n, (w + 1) % n);
+                    c.payload_sendrecv(to, tag, &sbuf, Some(from), Some(tag), &mut rbuf);
+                }
+            }
+            c.now().to_bits()
+        })
+    }
+    let sub = finish_times(true);
+    assert_eq!(sub, finish_times(false), "sub-communicator ring timed differently");
+    assert!(sub.iter().any(|&t| t != sub[0]), "ring on a torus should not finish in lockstep");
 }
 
 #[test]

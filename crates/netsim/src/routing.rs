@@ -9,9 +9,14 @@
 //! (the old per-rank `RouteCache` cloned the topology and re-derived
 //! identical routes 512 times on the largest modeled system).
 //!
-//! Interior locking is sharded by pair so that 512 rank threads warming
-//! the table concurrently do not serialize on one lock; steady-state
-//! lookups take a shard read lock only.
+//! Sim worlds run their ranks as fibers on one host thread, so a
+//! table is rarely contended; it stays thread-safe because a
+//! `MachineNet` is `Sync` and may be shared by worlds on several host
+//! threads (the parked-thread scheduler on non-x86_64 hosts, or any
+//! caller running two worlds on one net). Locking is sharded by pair,
+//! and steady-state lookups take a shard read lock only. The MPI layer
+//! looks each message's route up once, on the sender, and carries it to
+//! the receiver.
 
 use crate::topology::Topology;
 use beff_sync::{Rank, RwLock};

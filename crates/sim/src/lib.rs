@@ -60,7 +60,7 @@ pub use clock::{Clock, RealClock, VClock};
 pub use error::{silence_fault_panics, BeffError};
 pub use link::{Degrade, Link};
 pub use pool::{map_ordered, Workers};
-pub use port::{Message, Port, PushOutcome};
+pub use port::{Claim, Message, Port, PushOutcome};
 pub use shard::{try_run_sharded, ShardAudit, ShardCtx, ShardMap, Timed};
 pub use resource::Resource;
 pub use rng::Rng64;

@@ -15,11 +15,18 @@
 //! below is identical for every instantiation.
 //!
 //! A push first tries to complete the oldest open posted receive it
-//! matches ([`PushOutcome::Matched`] — the only case that wakes
-//! anyone); otherwise it appends to the unexpected queue *silently*
-//! ([`PushOutcome::Queued`]). Receivers scan the unexpected queue once,
-//! then post and sleep — no rescanning of the whole queue per wakeup,
-//! and no wakeups at all for messages nobody is waiting on.
+//! matches ([`PushOutcome::Matched`]); otherwise it appends to the
+//! unexpected queue *silently* ([`PushOutcome::Queued`]). Receivers
+//! scan the unexpected queue once, then post and sleep — no rescanning
+//! of the whole queue per wakeup.
+//!
+//! Only a thread blocked in the real-mode [`Port::recv`] /
+//! [`Port::recv_timeout`] ever sleeps on the port's condvar, and each
+//! such thread is counted in the port while it waits. A matched push
+//! (or a poison) signals the condvar only when that count is non-zero:
+//! sim-mode receivers park on the token scheduler instead, which the
+//! caller wakes on [`PushOutcome::Matched`], so a simulated message
+//! path makes no wake syscall at all.
 //!
 //! *Non-overtaking* holds by construction: a receive only posts after
 //! finding no match in the unexpected queue, so every message that
@@ -53,6 +60,20 @@ pub enum PushOutcome {
     Queued,
 }
 
+/// Result of [`Port::claim_or_post`]: one lock acquisition either
+/// finds the message, reports the world dead, or leaves a posted
+/// receive behind.
+#[derive(Debug)]
+pub enum Claim<M> {
+    /// A matching message was waiting in the unexpected queue.
+    Ready(M),
+    /// No match, and the world is poisoned: nothing will ever arrive.
+    Poisoned,
+    /// No match; a receive was posted under this ticket (redeem it with
+    /// [`Port::take_delivered`] once woken).
+    Posted(u64),
+}
+
 #[derive(Debug)]
 struct Posted<M: Message> {
     ticket: u64,
@@ -68,13 +89,23 @@ struct Inner<M: Message> {
     /// Set when the world aborts (an actor panicked); wakes blocked
     /// receivers so they do not deadlock on a dead peer.
     poisoned: bool,
+    /// Threads currently blocked on the condvar (real-mode `recv` /
+    /// `recv_timeout`). Pushes and poison skip the notify — a futex
+    /// syscall even with nobody to wake — while this is zero.
+    waiters: usize,
 }
 
 // Manual: `derive(Default)` would demand `M: Default`, which messages
 // need not be.
 impl<M: Message> Default for Inner<M> {
     fn default() -> Self {
-        Self { unexpected: VecDeque::new(), posted: Vec::new(), next_ticket: 0, poisoned: false }
+        Self {
+            unexpected: VecDeque::new(),
+            posted: Vec::new(),
+            next_ticket: 0,
+            poisoned: false,
+            waiters: 0,
+        }
     }
 }
 
@@ -82,6 +113,23 @@ impl<M: Message> Inner<M> {
     fn take_unexpected(&mut self, m: M::Filter) -> Option<M> {
         let pos = self.unexpected.iter().position(|e| M::admits(&m, e))?;
         Some(self.unexpected.remove(pos).expect("position just found"))
+    }
+
+    /// The receive prologue shared by every receive flavor: unexpected
+    /// queue first, then poison, then post.
+    fn claim_or_post(&mut self, m: M::Filter) -> Claim<M> {
+        if let Some(msg) = self.take_unexpected(m) {
+            Claim::Ready(msg)
+        } else if self.poisoned {
+            Claim::Poisoned
+        } else {
+            Claim::Posted(self.post(m))
+        }
+    }
+
+    /// Has the slot for `ticket` been filled by a push?
+    fn is_delivered(&self, ticket: u64) -> bool {
+        self.posted.iter().any(|p| p.ticket == ticket && p.delivered.is_some())
     }
 
     fn post(&mut self, m: M::Filter) -> u64 {
@@ -124,8 +172,9 @@ impl<M: Message> Port<M> {
         }
     }
 
-    /// Deliver a message (called from the sender's thread). Wakes
-    /// waiters only on [`PushOutcome::Matched`].
+    /// Deliver a message (called from the sender's thread). Signals
+    /// the condvar only on [`PushOutcome::Matched`], and only if a
+    /// real-mode receiver is blocked on it.
     pub fn push(&self, msg: M) -> PushOutcome {
         let mut g = self.inner.lock();
         if let Some(slot) = g
@@ -135,8 +184,11 @@ impl<M: Message> Port<M> {
             .min_by_key(|p| p.ticket)
         {
             slot.delivered = Some(msg);
+            let wake = g.waiters > 0;
             drop(g);
-            self.cond.notify_all();
+            if wake {
+                self.cond.notify_all();
+            }
             return PushOutcome::Matched;
         }
         g.unexpected.push_back(msg);
@@ -145,8 +197,13 @@ impl<M: Message> Port<M> {
 
     /// Abort: wake every blocked receiver with a panic.
     pub fn poison(&self) {
-        self.inner.lock().poisoned = true;
-        self.cond.notify_all();
+        let mut g = self.inner.lock();
+        g.poisoned = true;
+        let wake = g.waiters > 0;
+        drop(g);
+        if wake {
+            self.cond.notify_all();
+        }
     }
 
     /// Has the world been poisoned?
@@ -169,19 +226,20 @@ impl<M: Message> Port<M> {
     /// failed run aborts instead of deadlocking.
     pub fn recv(&self, m: M::Filter) -> M {
         let mut g = self.inner.lock();
-        if let Some(env) = g.take_unexpected(m) {
-            return env;
-        }
-        if g.poisoned {
-            Self::panic_poisoned();
-        }
-        let ticket = g.post(m);
+        let ticket = match g.claim_or_post(m) {
+            Claim::Ready(msg) => return msg,
+            Claim::Poisoned => Self::panic_poisoned(),
+            Claim::Posted(ticket) => ticket,
+        };
+        g.waiters += 1;
         loop {
             self.cond.wait(&mut g);
-            if g.posted.iter().any(|p| p.ticket == ticket && p.delivered.is_some()) {
+            if g.is_delivered(ticket) {
+                g.waiters -= 1;
                 return g.remove_slot(ticket).expect("delivery just observed");
             }
             if g.poisoned {
+                g.waiters -= 1;
                 g.remove_slot(ticket);
                 Self::panic_poisoned();
             }
@@ -195,23 +253,24 @@ impl<M: Message> Port<M> {
         // beff-analyze: allow(wall-clock): real-mode-only API; sim worlds never call this
         let deadline = std::time::Instant::now() + timeout;
         let mut g = self.inner.lock();
-        if let Some(env) = g.take_unexpected(m) {
-            return Some(env);
-        }
-        if g.poisoned {
-            return None;
-        }
-        let ticket = g.post(m);
+        let ticket = match g.claim_or_post(m) {
+            Claim::Ready(msg) => return Some(msg),
+            Claim::Poisoned => return None,
+            Claim::Posted(ticket) => ticket,
+        };
+        g.waiters += 1;
         loop {
             // beff-analyze: allow(taint): real-mode-only API (see the wall-clock waiver above); sim worlds never block on a deadline
             let timed_out = self.cond.wait_until(&mut g, deadline).timed_out();
             // Check the slot even on timeout: a push may have completed
             // the match as the deadline expired, and that message must
             // not be lost.
-            if g.posted.iter().any(|p| p.ticket == ticket && p.delivered.is_some()) {
+            if g.is_delivered(ticket) {
+                g.waiters -= 1;
                 return g.remove_slot(ticket);
             }
             if g.poisoned || timed_out {
+                g.waiters -= 1;
                 g.remove_slot(ticket);
                 return None;
             }
@@ -223,6 +282,15 @@ impl<M: Message> Port<M> {
     /// Take a matching message from the unexpected queue, if any.
     pub fn try_recv(&self, m: M::Filter) -> Option<M> {
         self.inner.lock().take_unexpected(m)
+    }
+
+    /// The whole nonblocking receive prologue under one lock: take a
+    /// matching unexpected message, else report poison, else post a
+    /// receive. Equivalent to [`try_recv`](Self::try_recv), then
+    /// [`is_poisoned`](Self::is_poisoned), then [`post`](Self::post) —
+    /// without releasing the lock between them.
+    pub fn claim_or_post(&self, m: M::Filter) -> Claim<M> {
+        self.inner.lock().claim_or_post(m)
     }
 
     /// Post a receive and return its ticket. The caller must have just
@@ -254,6 +322,12 @@ impl<M: Message> Port<M> {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Threads currently blocked on the condvar.
+    #[cfg(test)]
+    fn waiters(&self) -> usize {
+        self.inner.lock().waiters
     }
 }
 
@@ -359,6 +433,90 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         p.poison();
         assert!(h.join().unwrap(), "receiver must panic on poison");
+    }
+
+    /// Spin (yielding) until `n` receivers are blocked on `p`.
+    fn await_waiters(p: &Port<Note>, n: usize) {
+        while p.waiters() != n {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Join a receiver thread, re-raising its panic if it had one.
+    fn joined<T>(h: std::thread::JoinHandle<T>) -> T {
+        h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))
+    }
+
+    #[test]
+    fn blocked_receiver_is_woken_by_push_and_by_poison() {
+        use std::sync::Arc;
+        let p: Arc<Port<Note>> = Arc::new(Port::new());
+        let p2 = Arc::clone(&p);
+        let h = std::thread::spawn(move || p2.recv(NoteFilter { chan: 0, kind: None }).body);
+        await_waiters(&p, 1);
+        assert_eq!(p.push(note(0, 0, 42)), PushOutcome::Matched);
+        assert_eq!(joined(h), 42);
+        assert_eq!(p.waiters(), 0, "a delivered receive stops waiting");
+
+        let p2 = Arc::clone(&p);
+        let h = std::thread::spawn(move || {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                p2.recv(NoteFilter { chan: 0, kind: None });
+            }))
+            .is_err()
+        });
+        await_waiters(&p, 1);
+        p.poison();
+        assert!(joined(h), "receiver must panic on poison");
+        assert_eq!(p.waiters(), 0, "a poisoned receive stops waiting");
+    }
+
+    #[test]
+    fn waiter_count_returns_to_zero_on_timeout_and_poison() {
+        use std::sync::Arc;
+        let p: Arc<Port<Note>> = Arc::new(Port::new());
+        let f = NoteFilter { chan: 0, kind: None };
+        assert!(p.recv_timeout(f, Duration::from_millis(5)).is_none());
+        assert_eq!(p.waiters(), 0, "a timed-out receive stops waiting");
+        assert_eq!(p.push(note(0, 0, 1)), PushOutcome::Queued, "its slot is gone too");
+
+        let _ = p.recv(f);
+        let p2 = Arc::clone(&p);
+        let h = std::thread::spawn(move || p2.recv_timeout(f, Duration::from_secs(60)));
+        await_waiters(&p, 1);
+        p.poison();
+        assert!(joined(h).is_none());
+        assert_eq!(p.waiters(), 0, "a poisoned timed receive stops waiting");
+    }
+
+    #[test]
+    fn sim_mode_pieces_never_count_a_waiter() {
+        let p: Port<Note> = Port::new();
+        let f = NoteFilter { chan: 0, kind: None };
+        assert!(p.try_recv(f).is_none());
+        let ticket = p.post(f);
+        assert_eq!(p.push(note(0, 0, 7)), PushOutcome::Matched);
+        assert_eq!(p.waiters(), 0);
+        assert_eq!(p.take_delivered(ticket).map(|n| n.body), Some(7));
+
+        let Claim::Posted(ticket) = p.claim_or_post(f) else { panic!("nothing queued") };
+        assert_eq!(p.push(note(0, 0, 8)), PushOutcome::Matched);
+        assert_eq!(p.waiters(), 0);
+        assert_eq!(p.take_delivered(ticket).map(|n| n.body), Some(8));
+        assert!(p.is_empty());
+    }
+
+    #[test]
+    fn claim_or_post_prefers_queued_then_poison() {
+        let p: Port<Note> = Port::new();
+        let f = NoteFilter { chan: 0, kind: None };
+        p.push(note(0, 0, 3));
+        p.poison();
+        // A message already queued is still handed out after poison,
+        // exactly as try_recv-before-is_poisoned did.
+        assert!(matches!(p.claim_or_post(f), Claim::Ready(n) if n.body == 3));
+        assert!(matches!(p.claim_or_post(f), Claim::Poisoned));
+        assert_eq!(p.push(note(0, 0, 4)), PushOutcome::Queued, "a poisoned claim posts nothing");
     }
 
     /// The two-queue structure must be observationally equivalent to

@@ -4,7 +4,11 @@
 //! letting rank threads run concurrently — and plenty is lost: link
 //! [`Resource`](crate::resource::Resource) reservations would follow host
 //! thread scheduling, making runs causally consistent but not
-//! bit-identical, and every mailbox push would pay a condvar broadcast.
+//! bit-identical. A blocked sim-mode receiver parks here, not on its
+//! [`Port`](crate::port::Port)'s condvar, so a push that completes its
+//! receive signals no condvar (the port counts its condvar waiters and
+//! notifies only when there are some) — the wakeup is the
+//! [`SimScheduler::unblock`] re-queue below.
 //!
 //! Instead, exactly one rank runs at a time. The token moves only at
 //! explicit points:
