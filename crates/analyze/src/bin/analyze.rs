@@ -113,7 +113,7 @@ const EXPLAIN: &[(&str, &str)] = &[
     (
         "panicflow",
         "Panic-reachability: unwrap/expect/panic!/assert! sites reachable from the \
-         scheduler, worker-pool, shard, and serve entry points \
+         scheduler, worker-pool, and serve entry points \
          (config::PANIC_ENTRY_POINTS). Raise a typed BeffError instead, waive true \
          invariants with `allow(panicflow): <invariant>`, and ratchet \
          config::PANICFLOW_BUDGETS downward.",

@@ -52,8 +52,8 @@ pub const FIBER_HOME: &str = "crates/sim/";
 /// `threading` rule quarantines them (same mechanism as the fiber
 /// quarantine): determinism lives or dies by *where* threads are
 /// allowed to exist, so thread creation is confined to the substrate's
-/// worker pool (`beff_sim::pool` / the sharded engine), the sync
-/// primitives, and the one MPI launcher. Everyone else funnels
+/// worker pool (`beff_sim::pool`), the sync primitives, and the one
+/// MPI launcher. Everyone else funnels
 /// parallel work through `beff_sim::map_ordered`, whose
 /// submission-order results make worker count unobservable.
 pub const THREAD_IDENTS: &[&str] = &["spawn", "JoinHandle", "Builder", "available_parallelism"];
@@ -119,7 +119,7 @@ pub const UNWRAP_BUDGETS: &[(&str, u32)] = &[
     ("core", 13),
     ("facade", 26),
     ("faults", 0),
-    ("json", 16),
+    ("json", 12),
     ("machines", 6),
     ("mpi", 25),
     ("mpiio", 25),
@@ -127,7 +127,7 @@ pub const UNWRAP_BUDGETS: &[(&str, u32)] = &[
     ("pfs", 19),
     ("report", 4),
     ("serve", 143),
-    ("sim", 18),
+    ("sim", 16),
     ("sweep", 4),
     ("sync", 3),
 ];
@@ -159,21 +159,12 @@ pub struct LockDecl {
 /// | 14    | `serve.cache`                | content-addressed result map   |
 /// | 16    | `serve.pool`                 | idle partitions + armed poisons |
 /// | 20    | `mpi.boards`                 | collective rendezvous boards   |
-/// | 25    | `shard.state`                | one shard's cross-shard outbox |
 /// | 30    | `sim.port`                   | one actor's port state         |
 /// | 40    | `sched.state`                | token-scheduler ready/blocked  |
 /// | 50    | `sched.parker`               | one actor's park flag          |
 /// | 60    | `pfs.files` / `pfs.disk`     | filesystem name table          |
 /// | 70    | `netsim.routes`              | one route-table shard          |
-/// | 75    | `sync.barrier`               | epoch-barrier generation state |
 /// | 80    | `sync.channel`               | channel queue (leaf)           |
-///
-/// `shard.state` sits *below* the port and scheduler locks because the
-/// epoch flusher holds the outbox while delivering: its acquisition
-/// chain is outbox (25) → port (30) → scheduler (40), strictly
-/// increasing. The barrier is held alone and released before `wait`
-/// returns, so its level only has to clear the locks a coordinator may
-/// still hold — none.
 ///
 /// The serve daemon's locks sit *below* the whole simulation stack:
 /// they bracket map pushes/pops, journal appends and counter flips on
@@ -219,13 +210,6 @@ pub const LOCK_HIERARCHY: &[LockDecl] = &[
         name: "mpi.boards",
     },
     LockDecl {
-        file_suffix: "crates/sim/src/shard.rs",
-        receiver: "outbox",
-        methods: &["lock"],
-        level: 25,
-        name: "shard.state",
-    },
-    LockDecl {
         file_suffix: "crates/sim/src/port.rs",
         receiver: "inner",
         methods: &["lock"],
@@ -268,13 +252,6 @@ pub const LOCK_HIERARCHY: &[LockDecl] = &[
         name: "netsim.routes",
     },
     LockDecl {
-        file_suffix: "crates/sync/src/barrier.rs",
-        receiver: "state",
-        methods: &["lock"],
-        level: 75,
-        name: "sync.barrier",
-    },
-    LockDecl {
         file_suffix: "crates/sync/src/channel.rs",
         receiver: "state",
         methods: &["lock"],
@@ -286,7 +263,7 @@ pub const LOCK_HIERARCHY: &[LockDecl] = &[
 /// Entry points for the `panicflow` reachability pass: the functions
 /// the outside world (a connection, a worker thread, a fiber, an MPI
 /// rank) drives directly. An untyped panic reachable from one of these
-/// tears down a worker, poisons a shard epoch, or kills a connection —
+/// tears down a worker, unwinds a world, or kills a connection —
 /// the crash-safety layer turns it into a quarantine, but the pass
 /// exists so every such site is either waived with a written invariant
 /// or converted to a typed `BeffError`.
@@ -303,19 +280,11 @@ pub const PANIC_ENTRY_POINTS: &[(&str, &[&str])] = &[
             "finish",
             "abort",
             "drain_grant",
-            "wait_idle",
-            "kick",
-            "declare_deadlock",
-            "drive_idle",
             "fiber_exit",
             "drive_fibers",
         ],
     ),
     ("crates/sim/src/pool.rs", &["map_ordered"]),
-    (
-        "crates/sim/src/shard.rs",
-        &["try_run_sharded", "try_run_sharded_parked", "try_run_sharded_fibered"],
-    ),
     (
         "crates/serve/src/server.rs",
         &["serve_connection", "handle_frame", "submit", "submit_batch", "execute", "recompute"],
@@ -375,7 +344,7 @@ pub const PANICFLOW_BUDGETS: &[(&str, u32)] = &[
     ("machines", 1),
     ("mpi", 26),
     ("netsim", 1),
-    ("sim", 23),
+    ("sim", 11),
 ];
 
 /// See [`LOCKFLOW_BUDGETS`].

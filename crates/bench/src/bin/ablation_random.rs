@@ -55,7 +55,7 @@ fn main() {
         for p in &r.points {
             table.row(&[
                 m.name.to_string(),
-                beff_netsim::units::fmt_bytes(p.chunk),
+                beff_sim::units::fmt_bytes(p.chunk),
                 format!("{:.1}", p.seq_read_mbps),
                 format!("{:.1}", p.rand_read_mbps),
                 format!("{:.1}", p.rand_write_mbps),

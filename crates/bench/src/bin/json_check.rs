@@ -1,5 +1,5 @@
 //! Verification-gate helper: check that a JSON file exists and is
-//! well-formed (RFC 8259), using the in-tree validator. Exits nonzero
+//! well-formed (RFC 8259), using the in-tree parser. Exits nonzero
 //! with a diagnostic otherwise — `scripts/verify.sh` runs this against
 //! `BENCH_SIM.json` after the perf baseline.
 //!
@@ -18,7 +18,7 @@ fn main() {
                 eprintln!("json_check: {path}: {e}");
                 failed = true;
             }
-            Ok(text) => match beff_json::validate(&text) {
+            Ok(text) => match beff_json::parse(&text).map(drop) {
                 Err(e) => {
                     eprintln!("json_check: {path}: {e}");
                     failed = true;

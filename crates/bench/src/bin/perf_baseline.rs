@@ -10,7 +10,9 @@
 //! * **Ratchet gate** — every sweep is also compared against its entry
 //!   in the *previous committed* `BENCH_SIM.json`; slowing down by more
 //!   than [`RATCHET_SLACK`] fails the run. Optimizations land, the file
-//!   is regenerated, and the new (faster) numbers become the floor.
+//!   is regenerated, and the new (faster) numbers become the floor. A
+//!   committed row naming a sweep this binary no longer defines fails
+//!   the run too: it would gate nothing.
 //!
 //! In full mode the run also measures the **parallel section**: eight
 //! independent 512-rank b_eff jobs through [`PartitionRunner::beff_batch`]
@@ -32,7 +34,7 @@ use beff_bench::{beffio_cfg_quick_t, has_flag, run_beff_on, run_beffio_on, Parti
 use beff_core::beff::BeffConfig;
 use beff_json::{Json, ToJson};
 use beff_machines::by_key;
-use beff_sim::{try_run_sharded, Message, ShardCtx, Workers};
+use beff_sim::Workers;
 use std::time::Instant;
 
 /// Ratchet tolerance: a sweep may be up to this factor slower than the
@@ -116,54 +118,11 @@ fn beffio_sweep(key: &str, procs: usize) -> f64 {
     })
 }
 
-/// Ring message for the sharded-engine sweep (sender-id filter: the
-/// shape the conservative engine's determinism contract requires).
-#[derive(Debug, Clone, Copy)]
-struct Hop {
-    from: usize,
-    acc: f64,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct From(usize);
-
-impl Message for Hop {
-    type Filter = From;
-    fn admits(f: &From, m: &Hop) -> bool {
-        m.from == f.0
-    }
-}
-
-/// 10 000 actors on the conservative sharded engine (fibers on x86_64),
-/// five token-ring rounds — the world-scale smoke for the parallel
-/// discrete-event mode.
-fn sharded_ring_sweep() -> f64 {
-    const N: usize = 10_000;
-    const ROUNDS: u32 = 5;
-    const LOOKAHEAD: f64 = 1e-6;
-    time_it(|| {
-        let results = try_run_sharded(N, Workers::from_env(), LOOKAHEAD, |ctx: ShardCtx<'_, Hop>| {
-            let id = ctx.id();
-            let (left, right) = ((id + N - 1) % N, (id + 1) % N);
-            let mut acc = id as f64 + 1.0;
-            for _ in 0..ROUNDS {
-                ctx.advance(LOOKAHEAD);
-                ctx.send(right, Hop { from: id, acc });
-                acc += ctx.recv(From(left)).acc * 0.5;
-            }
-            acc
-        });
-        assert_eq!(results.len(), N);
-        assert!(results.iter().all(|r| r.is_ok()));
-    })
-}
-
 fn sweeps() -> Vec<Sweep> {
     vec![
         Sweep { name: "beff_t3e_64", heavy: false, run: || beff_sweep("t3e", 64) },
         Sweep { name: "beff_t3e_512", heavy: true, run: || beff_sweep("t3e", 512) },
         Sweep { name: "beffio_t3e_32", heavy: false, run: || beffio_sweep("t3e", 32) },
-        Sweep { name: "sharded_ring_10k", heavy: false, run: sharded_ring_sweep },
     ]
 }
 
@@ -206,6 +165,16 @@ impl ToJson for Record {
         }
         o.build()
     }
+}
+
+/// Committed baseline rows that name no sweep this binary defines.
+/// Such a row gates nothing, so the run refuses it instead of silently
+/// skipping it: a removed or renamed sweep must take its row with it.
+fn stale_rows<'a>(prev: &'a [(String, f64)], defined: &[Sweep]) -> Vec<&'a str> {
+    prev.iter()
+        .map(|(name, _)| name.as_str())
+        .filter(|name| !defined.iter().any(|s| s.name == *name))
+        .collect()
 }
 
 fn ratchet_limit(prev: f64) -> f64 {
@@ -365,7 +334,8 @@ fn main() {
     // root (which full mode is about to overwrite — read it first);
     // scratch outputs from earlier CI runs must not move the floor.
     // A missing or unreadable baseline is a clean "no floor yet" state
-    // (fresh checkout, renamed sweep), never a gate failure.
+    // (fresh checkout), never a gate failure; a readable one may name
+    // only sweeps this binary defines.
     let prev = match std::fs::read_to_string("BENCH_SIM.json") {
         Ok(text) => {
             let floors = previous_sweeps(&text);
@@ -384,8 +354,20 @@ fn main() {
     };
     let prev_secs = |name: &str| prev.iter().find(|(n, _)| n == name).map(|&(_, s)| s);
 
+    let sweeps = sweeps();
+    let stale = stale_rows(&prev, &sweeps);
+    if !stale.is_empty() {
+        for name in &stale {
+            eprintln!(
+                "STALE BASELINE: committed BENCH_SIM.json row '{name}' names no sweep \
+                 this binary defines — drop the row"
+            );
+        }
+        std::process::exit(1);
+    }
+
     let mut records = Vec::new();
-    for s in sweeps() {
+    for s in sweeps {
         if quick && s.heavy {
             eprintln!("skip (quick): {}", s.name);
             continue;
@@ -455,7 +437,7 @@ fn main() {
         .raw("calibration", calibration)
         .build();
     let text = beff_json::to_string_pretty(&doc);
-    beff_json::validate(&text).expect("perf baseline JSON must be well-formed");
+    beff_json::parse(&text).map(drop).expect("perf baseline JSON must be well-formed");
     std::fs::write(&out_path, format!("{text}\n")).expect("write BENCH_SIM.json");
     println!("wrote {out_path}");
 
@@ -540,6 +522,25 @@ mod tests {
             previous_sweeps(r#"{"sweeps": [{"name": "a"}, {"secs": 1.0}, {"name": "b", "secs": 2}]}"#),
             vec![("b".to_string(), 2.0)]
         );
+    }
+
+    #[test]
+    fn rows_naming_undefined_sweeps_are_stale() {
+        let prev = vec![
+            ("beff_t3e_64".to_string(), 0.32),
+            ("retired_sweep".to_string(), 0.05),
+            ("beff_t3e_512".to_string(), 3.2),
+        ];
+        assert_eq!(stale_rows(&prev, &sweeps()), vec!["retired_sweep"]);
+        assert!(stale_rows(&prev[..1], &sweeps()).is_empty());
+        assert!(stale_rows(&[], &sweeps()).is_empty());
+    }
+
+    #[test]
+    fn committed_baseline_has_no_stale_rows() {
+        let committed = previous_sweeps(include_str!("../../../../BENCH_SIM.json"));
+        assert!(!committed.is_empty(), "committed BENCH_SIM.json must hold sweeps");
+        assert!(stale_rows(&committed, &sweeps()).is_empty());
     }
 
     #[test]

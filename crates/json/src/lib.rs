@@ -26,13 +26,11 @@
 //! );
 //! ```
 
-mod check;
 mod fmt;
 mod parse;
 mod value;
 
-pub use check::{validate, JsonError};
-pub use parse::parse;
+pub use parse::{parse, JsonError};
 pub use value::{Json, ObjectBuilder, ToJson};
 
 /// Serialize compactly (no whitespace) — `serde_json::to_string` shape.

@@ -1,12 +1,28 @@
-//! A parser building the [`Json`] tree — the decode side of the wire
-//! protocol. The [`crate::check`] validator answers "is this text
-//! well-formed?" without allocating; this module answers "what does it
-//! say?" for the paths that must read JSON back (the `beff-serve`
-//! request decoder). Grammar and error reporting match the validator:
-//! RFC 8259, first violation with its byte offset.
+//! A parser building the [`Json`] tree — the read side of the crate.
+//! The writers in [`crate::fmt`] only ever *emit* JSON; this module
+//! reads it back, for the `beff-serve` request decoder and for the
+//! gates that confirm a generated report file is well-formed before it
+//! is trusted (`parse(text).map(drop)`). Grammar: RFC 8259; errors
+//! report the first violation with its byte offset.
 
-use crate::check::JsonError;
 use crate::value::Json;
+
+/// First well-formedness violation in a JSON document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JsonError {
+    /// Byte offset of the violation.
+    pub at: usize,
+    /// What went wrong, human-readable.
+    pub msg: String,
+}
+
+impl std::fmt::Display for JsonError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "invalid JSON at byte {}: {}", self.at, self.msg)
+    }
+}
+
+impl std::error::Error for JsonError {}
 
 /// Parse exactly one JSON document (surrounded by optional whitespace)
 /// into a [`Json`] tree.
@@ -300,6 +316,24 @@ mod tests {
     use super::*;
 
     #[test]
+    fn accepts_documents_this_crate_writes() {
+        for ok in [
+            "{}",
+            "[]",
+            "null",
+            "true",
+            "-0.5",
+            "1e-9",
+            "1.25E+10",
+            r#""a \"quoted\" string with \u00e9""#,
+            r#"{"x":1.5,"y":[2,3,{"z":null}],"s":"t\n"}"#,
+            "  {\n  \"a\": [1, 2]\n}  ",
+        ] {
+            assert!(parse(ok).is_ok(), "should accept: {ok}");
+        }
+    }
+
+    #[test]
     fn scalars_parse() {
         assert_eq!(parse("null"), Ok(Json::Null));
         assert_eq!(parse("true"), Ok(Json::Bool(true)));
@@ -353,12 +387,27 @@ mod tests {
     }
 
     #[test]
-    fn rejects_what_the_validator_rejects() {
-        for bad in [
-            "", "{", "[1,]", "{\"a\":}", "{\"a\" 1}", "{'a':1}", "01", "1.", "1e",
-            "\"abc", "\"\\x\"", "nul", "{} {}", "\"a\nb\"", "\"\\ud800\"", "\"\\udc00 alone\"",
+    fn rejects_malformed_documents() {
+        for (bad, why) in [
+            ("", "empty"),
+            ("{", "unclosed object"),
+            ("[1,]", "trailing comma"),
+            ("{\"a\":}", "missing value"),
+            ("{\"a\" 1}", "missing colon"),
+            ("{'a':1}", "single quotes"),
+            ("01", "leading zero then trailing digit"),
+            ("1.", "bare decimal point"),
+            ("1e", "empty exponent"),
+            ("\"abc", "unterminated string"),
+            ("\"\\x\"", "bad escape"),
+            ("\"\\u12x4\"", "non-hex \\u escape"),
+            ("nul", "misspelled literal"),
+            ("{} {}", "two documents"),
+            ("\"a\nb\"", "raw newline in string"),
+            ("\"\\ud800\"", "lone high surrogate"),
+            ("\"\\udc00 alone\"", "lone low surrogate"),
         ] {
-            assert!(parse(bad).is_err(), "should reject: {bad}");
+            assert!(parse(bad).is_err(), "should reject ({why}): {bad}");
         }
     }
 
@@ -366,5 +415,6 @@ mod tests {
     fn errors_carry_byte_offsets() {
         let e = parse("[1, 2, x]").expect_err("must fail");
         assert_eq!(e.at, 7);
+        assert!(e.to_string().contains("byte 7"));
     }
 }

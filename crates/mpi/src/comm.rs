@@ -29,11 +29,10 @@ use crate::collectives::ReduceOp;
 use crate::engine::{EngineCfg, RankState};
 use crate::mailbox::{Claim, Mailbox, Match, PushOutcome};
 use crate::message::{Envelope, Payload, RecvInfo, Tag, COLLECTIVE_BASE};
-use crate::sched::SimScheduler;
 use crate::wire;
 use beff_faults::{BeffError, FaultSession};
 use beff_netsim::{MachineNet, SplitRoute};
-use beff_sim::Secs;
+use beff_sim::{Secs, SimScheduler};
 use beff_sync::{Mutex, Rank};
 use std::cell::RefCell;
 
@@ -154,7 +153,7 @@ impl WorldShared {
     }
 
     /// Sim world driven by user-space fibers on one host thread rather
-    /// than parked rank threads (see [`crate::sched`]).
+    /// than parked rank threads (see [`beff_sim::sched`]).
     #[cfg(target_arch = "x86_64")]
     pub(crate) fn new_fibered(n: usize, engine: Arc<EngineCfg>) -> Self {
         debug_assert!(engine.is_sim());

@@ -13,7 +13,7 @@
 //! * **Sim** ([`World::sim`]) — ranks are still host threads, but each
 //!   owns a virtual clock, and every operation is priced by a
 //!   [`beff_netsim::MachineNet`] model. Rank threads take turns under a
-//!   deterministic token scheduler ([`sched::SimScheduler`]): execution
+//!   deterministic token scheduler ([`SimScheduler`]): execution
 //!   order is a pure function of the program, so same seeds give
 //!   bit-identical results, and a genuine deadlock in the MPI program
 //!   is detected and reported instead of hanging.
@@ -39,13 +39,6 @@ pub mod runtime;
 pub mod topology;
 pub mod wire;
 
-/// The token scheduler — re-exported from the `beff-sim` substrate,
-/// where it moved when the workload-agnostic core was extracted. Kept
-/// as a module so `beff_mpi::sched::SimScheduler` paths stay valid.
-pub mod sched {
-    pub use beff_sim::sched::*;
-}
-
 pub use beff_faults::{BeffError, FaultSession};
 pub use collectives::ReduceOp;
 pub use comm::{Comm, RecvReq, SendReq};
@@ -53,5 +46,5 @@ pub use engine::EngineCfg;
 pub use message::{Payload, RecvInfo, Tag};
 pub use beff_sim::Workers;
 pub use runtime::{World, WorldSession};
-pub use sched::{SchedAudit, SimScheduler};
+pub use beff_sim::{SchedAudit, SimScheduler};
 pub use topology::{dims_create, CartGrid};

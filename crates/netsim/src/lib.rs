@@ -5,30 +5,22 @@
 //!
 //! The model is a causal-timestamp (LogGP-style) simulation:
 //!
-//! * every MPI rank owns a [`clock::VClock`] (virtual seconds),
+//! * every MPI rank owns a [`VClock`] (virtual seconds),
 //! * a message transfer is priced by [`model::MachineNet::transfer`],
 //!   which routes the message over the configured [`topology::Topology`]
-//!   and reserves occupancy on every traversed [`link::Link`],
+//!   and reserves occupancy on every traversed [`Link`],
 //! * contention emerges from link reservation: two messages crossing the
 //!   same wire at the same virtual time serialize.
 //!
 //! The mechanism layer — virtual clocks, fair-share [`Resource`]s,
 //! priced [`Link`]s, the deterministic RNG — lives in `beff-sim`
 //! (the workload-agnostic simulation substrate); this crate re-exports
-//! those names at their historical paths and layers the *network
-//! semantics* on top: topologies, routing, LogGP transfer pricing.
+//! its types flat (`beff_netsim::{Secs, MB, Link, …}`) and layers the
+//! *network semantics* on top: topologies, routing, LogGP transfer
+//! pricing.
 //!
 //! Nothing here depends on the MPI layer: this crate answers only
 //! "what does it cost", never "who is allowed to proceed".
-
-// Substrate modules, re-exported at their pre-extraction paths so
-// `beff_netsim::units::fmt_bytes`, `beff_netsim::rng::Rng64`, … keep
-// resolving for every downstream crate.
-pub use beff_sim::clock;
-pub use beff_sim::link;
-pub use beff_sim::resource;
-pub use beff_sim::rng;
-pub use beff_sim::units;
 
 pub mod model;
 pub mod stats;

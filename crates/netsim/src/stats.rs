@@ -119,7 +119,7 @@ mod tests {
     use super::*;
     use crate::model::NetParams;
     use crate::topology::Topology;
-    use crate::units::MB;
+    use beff_sim::units::MB;
 
     #[test]
     fn report_attributes_traffic_to_kinds() {

@@ -105,14 +105,6 @@ struct SchedState {
     /// A rank panicked: determinism is moot, wake everyone so they
     /// observe mailbox poison.
     aborted: bool,
-    /// Coordinated mode (the sharded engine): an empty ready queue with
-    /// live ranks is *quiescence*, reported to an external coordinator
-    /// via [`SimScheduler::wait_idle`], not a deadlock — only the
-    /// coordinator sees every shard and can tell the two apart.
-    coordinated: bool,
-    /// Coordinated mode: set when the token ran out of ready ranks;
-    /// cleared by [`SimScheduler::kick`] after a cross-shard flush.
-    idle: bool,
 }
 
 /// How suspended ranks are represented and resumed.
@@ -129,10 +121,6 @@ enum Mech {
 pub struct SimScheduler {
     inner: Mutex<SchedState>,
     mech: Mech,
-    /// Coordinated mode: signaled when the shard quiesces (idle set,
-    /// last rank finished, abort or deadlock) so the coordinator's
-    /// [`wait_idle`](Self::wait_idle) can wake.
-    idle_cv: Condvar,
     /// Token accounting: every grant issued must eventually be consumed
     /// (by a park that wakes, or drained from a rank that will never
     /// park again). `granted == consumed` after the world joins is the
@@ -171,8 +159,6 @@ fn new_state(n: usize) -> SchedState {
         live: n,
         deadlocked: false,
         aborted: false,
-        coordinated: false,
-        idle: false,
     }
 }
 
@@ -184,25 +170,11 @@ impl SimScheduler {
         let sched = Self {
             inner: Mutex::ranked(&SCHED_STATE_RANK, new_state(n)),
             mech: Mech::Park((0..n).map(|_| Parker::new()).collect()),
-            idle_cv: Condvar::new(),
             granted: AtomicU64::new(0),
             consumed: AtomicU64::new(0),
         };
         let Mech::Park(parkers) = &sched.mech else { unreachable!() };
         sched.count_grant(parkers[0].grant());
-        sched
-    }
-
-    /// Thread-parking scheduler in *coordinated* mode: quiescence (all
-    /// live ranks blocked) parks the shard and signals
-    /// [`wait_idle`](Self::wait_idle) instead of declaring deadlock —
-    /// the sharded engine's coordinator flushes cross-shard messages
-    /// and either [`kick`](Self::kick)s the shard or, when every shard
-    /// is quiet with nothing in flight, calls
-    /// [`declare_deadlock`](Self::declare_deadlock).
-    pub fn new_coordinated(n: usize) -> Self {
-        let sched = Self::new(n);
-        sched.inner.lock().coordinated = true;
         sched
     }
 
@@ -219,20 +191,9 @@ impl SimScheduler {
         Self {
             inner: Mutex::ranked(&SCHED_STATE_RANK, st),
             mech: Mech::Fiber(FiberSet::new(n)),
-            idle_cv: Condvar::new(),
             granted: AtomicU64::new(0),
             consumed: AtomicU64::new(0),
         }
-    }
-
-    /// Fiber scheduler in coordinated mode: the shard's worker drives
-    /// it with [`drive_idle`](Self::drive_idle), which returns at
-    /// quiescence instead of flipping to the deadlock protocol.
-    #[cfg(target_arch = "x86_64")]
-    pub fn new_coordinated_fibers(n: usize) -> Self {
-        let sched = Self::new_fibers(n);
-        sched.inner.lock().coordinated = true;
-        sched
     }
 
     /// The fiber set to install stacks into (fiber mode only).
@@ -255,14 +216,6 @@ impl SimScheduler {
         if let Some(next) = st.ready.pop_front() {
             self.count_grant(parkers[next].grant());
         } else if st.live > 0 {
-            if st.coordinated {
-                // Quiescence, not deadlock: every live rank is blocked
-                // on something only another shard can deliver. Park the
-                // shard and hand the verdict to the coordinator.
-                st.idle = true;
-                self.idle_cv.notify_all();
-                return;
-            }
             st.deadlocked = true;
             for (r, p) in parkers.iter().enumerate() {
                 if !st.finished[r] {
@@ -390,10 +343,6 @@ impl SimScheduler {
             Mech::Park(parkers) => {
                 if st.live > 0 {
                     self.grant_next(&mut st, parkers);
-                } else if st.coordinated {
-                    // The shard is done; a coordinator parked in
-                    // wait_idle must observe live == 0.
-                    self.idle_cv.notify_all();
                 }
             }
             #[cfg(target_arch = "x86_64")]
@@ -410,9 +359,6 @@ impl SimScheduler {
             return;
         }
         st.aborted = true;
-        // A coordinator parked in wait_idle must wake and shut the
-        // world down (coordinated mode; harmless otherwise).
-        self.idle_cv.notify_all();
         if st.deadlocked {
             // The deadlock detector already granted every unfinished
             // rank exactly once; granting again would hand unwinding
@@ -437,107 +383,6 @@ impl SimScheduler {
             if parkers[rank].drain() {
                 self.count_consume();
             }
-        }
-    }
-
-    // ----- coordinated mode (the sharded engine's shard-side API) -------
-
-    /// Block the coordinator until this shard has quiesced: the token
-    /// ran out of ready ranks (`idle`), every rank finished, or the
-    /// world aborted/deadlocked. Thread-parking coordinated mode only —
-    /// fiber shards quiesce by returning from
-    /// [`drive_idle`](Self::drive_idle).
-    pub fn wait_idle(&self) {
-        let mut st = self.inner.lock();
-        debug_assert!(st.coordinated, "wait_idle needs a coordinated scheduler");
-        while !(st.idle || st.live == 0 || st.aborted || st.deadlocked) {
-            self.idle_cv.wait(&mut st);
-        }
-    }
-
-    /// Restart an idle shard after a cross-shard flush re-queued some
-    /// of its ranks. If the flush delivered nothing here, the shard
-    /// goes straight back to idle (the grant path re-parks it).
-    pub fn kick(&self) {
-        let mut st = self.inner.lock();
-        if !st.idle || st.aborted || st.deadlocked {
-            return;
-        }
-        st.idle = false;
-        match &self.mech {
-            Mech::Park(parkers) => self.grant_next(&mut st, parkers),
-            // Fiber shards are restarted by the worker re-entering
-            // drive_idle; clearing the flag is all there is to do.
-            #[cfg(target_arch = "x86_64")]
-            Mech::Fiber(_) => {}
-        }
-    }
-
-    /// The coordinator observed *global* quiescence with live ranks and
-    /// nothing left to flush: the world is deadlocked. Wake every
-    /// unfinished rank into the panic path (thread mode; fiber shards
-    /// resume them on the next [`drive_idle`](Self::drive_idle) pass).
-    pub fn declare_deadlock(&self) {
-        let mut st = self.inner.lock();
-        if st.aborted || st.deadlocked || st.live == 0 {
-            return;
-        }
-        st.deadlocked = true;
-        if let Mech::Park(parkers) = &self.mech {
-            for (r, p) in parkers.iter().enumerate() {
-                if !st.finished[r] {
-                    self.count_grant(p.grant());
-                }
-            }
-        }
-    }
-
-    /// Did a flush make any of this shard's ranks runnable again?
-    pub fn has_ready(&self) -> bool {
-        !self.inner.lock().ready.is_empty()
-    }
-
-    /// Ranks whose closure has not finished.
-    pub fn live_count(&self) -> usize {
-        self.inner.lock().live
-    }
-
-    /// Coordinated fiber drive loop: run ready fibers until the shard
-    /// quiesces (ready empty with live ranks — return and let the
-    /// coordinator flush), every rank finishes, or abort/deadlock
-    /// unwinds every unfinished fiber. The caller loops
-    /// `drive_idle → barrier → flush → barrier` until the world ends.
-    #[cfg(target_arch = "x86_64")]
-    pub fn drive_idle(&self) {
-        let Mech::Fiber(fs) = &self.mech else {
-            panic!("drive_idle on a thread-parking scheduler")
-        };
-        loop {
-            let next = {
-                let mut st = self.inner.lock();
-                debug_assert!(st.coordinated, "drive_idle needs a coordinated scheduler");
-                if st.live == 0 {
-                    return;
-                }
-                if st.aborted || st.deadlocked {
-                    st.finished.iter().position(|&f| !f)
-                } else if let Some(r) = st.ready.pop_front() {
-                    Some(r)
-                } else {
-                    // Quiescent: every live rank blocked on another
-                    // shard. The coordinator decides what happens next.
-                    st.idle = true;
-                    return;
-                }
-            };
-            let Some(r) = next else { return };
-            // A fiber resume is a grant consumed synchronously (same
-            // accounting as drive_fibers).
-            self.count_grant(true);
-            self.count_consume();
-            // SAFETY: r is unfinished and was initialized by the
-            // runtime before driving started.
-            unsafe { fs.resume(r) };
         }
     }
 

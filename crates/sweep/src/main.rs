@@ -257,7 +257,7 @@ fn main() {
         std::fs::create_dir_all(dir).expect("create output directory");
     }
     let text = beff_json::to_string_pretty(&report);
-    beff_json::validate(&text).expect("storage-sweep JSON must be well-formed");
+    beff_json::parse(&text).map(drop).expect("storage-sweep JSON must be well-formed");
     std::fs::write(&out, format!("{text}\n")).expect("write storage-sweep report");
     println!("storage sweep ({} clients, seed {seed:#x}) -> {out}", report.clients);
 
