@@ -84,7 +84,7 @@ pub const NETSIM_INTERNAL_IDENTS: &[&str] = &[
 pub const DEP_ALLOWLISTS: &[(&str, &[&str])] = &[
     ("sim", &["beff-sync"]),
     ("check", &["beff-sim"]),
-    ("netsim", &["beff-sync", "beff-sim", "beff-json", "beff-check"]),
+    ("netsim", &["beff-sim", "beff-json", "beff-check"]),
     ("faults", &["beff-sim", "beff-netsim", "beff-json", "beff-check"]),
     ("pfs", &["beff-netsim", "beff-sync", "beff-json", "beff-check"]),
     ("mpi", &["beff-sim", "beff-netsim", "beff-faults", "beff-sync", "beff-check"]),
@@ -127,7 +127,7 @@ pub const UNWRAP_BUDGETS: &[(&str, u32)] = &[
     ("pfs", 19),
     ("report", 4),
     ("serve", 143),
-    ("sim", 16),
+    ("sim", 14),
     ("sweep", 4),
     ("sync", 3),
 ];
@@ -163,7 +163,6 @@ pub struct LockDecl {
 /// | 40    | `sched.state`                | token-scheduler ready/blocked  |
 /// | 50    | `sched.parker`               | one actor's park flag          |
 /// | 60    | `pfs.files` / `pfs.disk`     | filesystem name table          |
-/// | 70    | `netsim.routes`              | one route-table shard          |
 /// | 80    | `sync.channel`               | channel queue (leaf)           |
 ///
 /// The serve daemon's locks sit *below* the whole simulation stack:
@@ -243,13 +242,6 @@ pub const LOCK_HIERARCHY: &[LockDecl] = &[
         methods: &["lock"],
         level: 60,
         name: "pfs.disk",
-    },
-    LockDecl {
-        file_suffix: "crates/netsim/src/routing.rs",
-        receiver: "shard",
-        methods: &["read", "write"],
-        level: 70,
-        name: "netsim.routes",
     },
     LockDecl {
         file_suffix: "crates/sync/src/channel.rs",

@@ -15,7 +15,7 @@ use std::sync::Arc;
 pub fn run_beff_io(comm: &mut Comm, io: &Arc<IoWorld>, cfg: &BeffIoConfig) -> BeffIoResult {
     let mp = mpart(cfg.mem_per_node);
     let max_call = all_patterns().iter().map(|p| p.call_bytes(mp)).max().expect("patterns");
-    let mut bufs = Bufs::new(comm.rank(), max_call);
+    let mut bufs = Bufs::for_run(comm.rank(), max_call, cfg.verify || comm.copies_payload());
     let mut selfc = comm
         .split(Some(comm.rank() as u32), 0)
         .expect("self communicator");

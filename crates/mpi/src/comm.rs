@@ -4,10 +4,12 @@
 //! A [`Comm`] is one rank's handle on a communication context. It
 //! bundles the world-shared mailboxes, the rank's clock, and a context
 //! id that isolates message matching between communicators (so
-//! `split`/`dup` behave like MPI communicators). The sender looks its
-//! world-rank route up once in the machine-wide shared table
-//! (`MachineNet::split_route`) and carries it to the receiver in the
-//! [`Envelope`], so each message costs one lookup.
+//! `split`/`dup` behave like MPI communicators). Routes live in the
+//! machine-wide shared table (`MachineNet::split_route`, a lock-free
+//! borrow): the sender looks up its world-rank route to price the
+//! egress half, the [`Envelope`] carries the sender's world rank, and
+//! the receiver looks the same route up again to drain the ingress
+//! half.
 //!
 //! Two send flavors exist:
 //!
@@ -282,7 +284,7 @@ impl Comm {
         head: Secs,
         arrival: Secs,
         payload: Payload,
-        route: Option<Arc<SplitRoute>>,
+        wsrc: Option<u32>,
     ) {
         let wdst = self.ranks[dst];
         let outcome = self.shared.mailboxes[wdst].push(Envelope {
@@ -292,7 +294,7 @@ impl Comm {
             head,
             arrival,
             payload,
-            route,
+            wsrc,
         });
         // Targeted wakeup: only a push that completed a posted receive
         // makes the receiver runnable again. Queued pushes wake no one.
@@ -341,9 +343,9 @@ impl Comm {
                 0.0
             }
             EngineCfg::Sim { net, faults, .. } => {
-                let (injected, head, finish, sr) = {
+                let wsrc = self.ranks[self.rank];
+                let (injected, head, finish) = {
                     let mut st = self.state.borrow_mut();
-                    let wsrc = self.ranks[self.rank];
                     let wdst = self.ranks[dst];
                     let sr = net.split_route(wsrc, wdst);
                     match faults {
@@ -360,7 +362,7 @@ impl Comm {
                                     &mut st,
                                     net,
                                     fs,
-                                    &sr,
+                                    sr,
                                     wsrc,
                                     wdst,
                                     payload.len(),
@@ -370,9 +372,9 @@ impl Comm {
                     }
                     let t0 = st.clock.now();
                     let eg = net.price_egress(&sr.egress, payload.len(), t0);
-                    (eg.injected, eg.head, eg.finish, sr)
+                    (eg.injected, eg.head, eg.finish)
                 };
-                self.deliver(dst, tag, head, finish, payload, Some(sr));
+                self.deliver(dst, tag, head, finish, payload, Some(wsrc as u32));
                 injected
             }
         }
@@ -437,15 +439,16 @@ impl Comm {
 
     /// Apply receive timing: drain the message through the receiver's
     /// ingress resources (its node memory + port-in) along the route
-    /// the sender carried, then pay o_recv.
+    /// from the sender's world rank, then pay o_recv.
     fn apply_recv_time(&mut self, env: &Envelope) {
-        // Every sim-mode send carries its route (`do_send`); real-mode
-        // envelopes carry none and cost nothing here.
-        if let (EngineCfg::Sim { net, faults, .. }, Some(sr)) =
-            (self.shared.engine.as_ref(), &env.route)
+        // Every sim-mode send carries its world rank (`do_send`);
+        // real-mode envelopes carry none and cost nothing here.
+        if let (EngineCfg::Sim { net, faults, .. }, Some(wsrc)) =
+            (self.shared.engine.as_ref(), env.wsrc)
         {
             let mut st = self.state.borrow_mut();
             let wdst = self.ranks[self.rank];
+            let sr = net.split_route(wsrc as usize, wdst);
             let done =
                 net.price_ingress(&sr.ingress, env.payload.len(), env.head, env.arrival);
             st.clock.advance_to(done);

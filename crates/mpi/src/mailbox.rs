@@ -64,7 +64,7 @@ mod tests {
     use std::time::Duration;
 
     fn env(ctx: u32, src: usize, tag: Tag) -> Envelope {
-        Envelope { ctx, src, tag, head: 0.0, arrival: 0.0, payload: Payload::Len(0), route: None }
+        Envelope { ctx, src, tag, head: 0.0, arrival: 0.0, payload: Payload::Len(0), wsrc: None }
     }
 
     #[test]

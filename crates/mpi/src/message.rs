@@ -7,9 +7,7 @@
 //! messages (collective reductions, control data) always carry real
 //! bytes.
 
-use beff_netsim::SplitRoute;
 use beff_sim::Secs;
-use std::sync::Arc;
 
 /// Message tag. Tags below [`COLLECTIVE_BASE`] are free for user
 /// code; the collective algorithms use the space above it.
@@ -58,10 +56,12 @@ pub struct Envelope {
     /// and completes no earlier than this.
     pub arrival: Secs,
     pub payload: Payload,
-    /// The world-rank route the sender priced its egress half on (sim
-    /// mode; `None` in real mode). The receiver drains the ingress half
-    /// of the same route, so it never looks the pair up again.
-    pub route: Option<Arc<SplitRoute>>,
+    /// The sender's *world* rank (sim mode; `None` in real mode). The
+    /// receiver looks the `(wsrc, own world rank)` route up in the
+    /// machine's route table — a borrow, two indexed loads — and drains
+    /// its ingress half; the sender priced the egress half of the same
+    /// route.
+    pub wsrc: Option<u32>,
 }
 
 /// Result of a completed receive.

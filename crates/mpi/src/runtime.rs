@@ -15,13 +15,20 @@
 //! If any rank panics, every mailbox is poisoned so that ranks blocked
 //! on the dead peer abort instead of deadlocking (the moral equivalent
 //! of `MPI_Abort`), and the first panic is re-thrown to the caller.
+//!
+//! A sim run leases its [`MachineNet`] for its whole duration
+//! ([`MachineNet::try_lease`]): link booking is single-writer, so a
+//! second world started on a net whose lease is held — say, from
+//! inside a rank closure — is refused with [`BeffError::NetInUse`]
+//! before any rank runs. Sequential runs and runs on replicas never
+//! contend for a lease.
 
 use crate::comm::{Comm, WorldShared};
 use crate::engine::EngineCfg;
 #[cfg(target_arch = "x86_64")]
 use beff_sim::fiber::{init_fiber, FiberStack, STACK_SIZE};
 use beff_faults::{BeffError, FaultSession};
-use beff_netsim::MachineNet;
+use beff_netsim::{MachineNet, NetLease};
 use beff_sim::{map_ordered, Workers};
 use beff_sync::{channel, Condvar, Mutex};
 use std::any::Any;
@@ -113,6 +120,19 @@ fn into_typed<R>(settled: Result<Vec<R>, Box<dyn Any + Send>>) -> Result<Vec<R>,
             Ok(e) => Err(*e),
             Err(p) => resume_unwind(p),
         },
+    }
+}
+
+/// Lease a sim engine's net for one run (real engines have no net).
+/// A held lease refuses the run with a typed [`BeffError::NetInUse`]
+/// payload, which `try_run` returns as a value and `run` re-raises.
+fn lease_net(engine: &EngineCfg) -> Result<Option<NetLease<'_>>, Box<dyn Any + Send>> {
+    match engine {
+        EngineCfg::Sim { net, .. } => match net.try_lease() {
+            Some(lease) => Ok(Some(lease)),
+            None => Err(Box::new(BeffError::NetInUse)),
+        },
+        EngineCfg::Real => Ok(None),
     }
 }
 
@@ -298,6 +318,7 @@ impl World {
         R: Send,
         F: Fn(&mut Comm) -> R + Sync,
     {
+        let _lease = lease_net(&self.engine)?;
         #[cfg(target_arch = "x86_64")]
         if self.engine.is_sim() {
             let stacks: Vec<FiberStack> =
@@ -455,6 +476,7 @@ impl WorldSession {
         R: Send + 'static,
         F: Fn(&mut Comm) -> R + Send + Sync + 'static,
     {
+        let _lease = lease_net(&self.engine)?;
         let senders = match &self.mech {
             SessionMech::Threads { senders, .. } => senders,
             #[cfg(target_arch = "x86_64")]
@@ -979,6 +1001,67 @@ mod tests {
             })
         }));
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn a_world_started_inside_a_rank_on_its_own_net_is_refused() {
+        let world = tiny_sim();
+        let session = world.session();
+        let nested = world.run(|c| {
+            let world_refused = world.try_run(|c| c.rank()).err();
+            let session_refused = session.try_run(|c| c.rank()).err();
+            let raised = catch_unwind(AssertUnwindSafe(|| world.run(|c| c.rank())))
+                .err()
+                .and_then(|p| p.downcast::<BeffError>().ok())
+                .map(|e| *e);
+            (c.rank(), world_refused, session_refused, raised)
+        });
+        for (rank, world_refused, session_refused, raised) in nested {
+            assert_eq!(world_refused, Some(BeffError::NetInUse), "rank {rank}: World::try_run");
+            assert_eq!(session_refused, Some(BeffError::NetInUse), "rank {rank}: session");
+            assert_eq!(raised, Some(BeffError::NetInUse), "rank {rank}: World::run raises typed");
+        }
+        // The refusals left the outer world's lease intact and released.
+        assert_eq!(world.run(|c| c.rank()), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn sequential_runs_on_one_net_are_unaffected_by_the_lease() {
+        let net = Arc::new(MachineNet::new(Topology::Ring { procs: 4 }, NetParams::default()));
+        let world = World::sim(Arc::clone(&net));
+        let session = world.session();
+        let ring = |c: &mut Comm| {
+            let next = (c.rank() + 1) % c.size();
+            let prev = (c.rank() + c.size() - 1) % c.size();
+            let _ = c.sendrecv(next, 3, &[c.rank() as u8; 4096], Some(prev), Some(3));
+            c.now().to_bits()
+        };
+        let first = world.run(ring);
+        for _ in 0..3 {
+            net.reset();
+            assert_eq!(world.try_run(ring), Ok(first.clone()));
+            net.reset();
+            assert_eq!(session.try_run(ring), Ok(first.clone()));
+        }
+        // A failed run releases the lease too.
+        assert_eq!(world.try_run(|_| BeffError::PeerFailed.raise()), Err(BeffError::PeerFailed));
+        net.reset();
+        assert_eq!(world.run(ring), first);
+        assert!(net.try_lease().is_some(), "no run holds the lease afterwards");
+    }
+
+    #[test]
+    fn replicas_are_unaffected_by_a_held_lease() {
+        let net = Arc::new(MachineNet::new(Topology::Ring { procs: 4 }, NetParams::default()));
+        let world = World::sim(Arc::clone(&net)).with_workers(Workers::new(2));
+        let held = net.try_lease();
+        assert!(held.is_some(), "an idle net leases");
+        assert_eq!(world.try_run(|c| c.rank()), Err(BeffError::NetInUse));
+        // Batch jobs run on replicas, each with its own lease.
+        let batch = world.run_batch(3, |job, c| job * 10 + c.rank());
+        assert_eq!(batch[2], vec![20, 21, 22, 23]);
+        let replica = World::sim(Arc::new(net.replica()));
+        assert_eq!(replica.run(|c| c.rank()), vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -152,7 +152,7 @@ fn two_queue_mailbox_matches_linear_scan_reference() {
             head: 0.0,
             arrival: 0.0,
             payload: Payload::Len(serial),
-            route: None,
+            wsrc: None,
         };
         for _ in 0..g.usize(1..=120) {
             let ctx = g.u32(0..=1);
@@ -265,7 +265,7 @@ fn targeted_wakeups_never_lose_a_blocked_receiver() {
                             head: 0.0,
                             arrival: 0.0,
                             payload: Payload::Len(i),
-                            route: None,
+                            wsrc: None,
                         });
                     }
                     if i % 8 == 0 {

@@ -33,7 +33,7 @@ use crate::topology::{LinkKind, Topology};
 use beff_json::{Json, ToJson};
 use beff_sim::link::Link;
 use beff_sim::units::{byte_time, Secs};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Latency/bandwidth pair for one link kind.
 #[derive(Debug, Clone, Copy)]
@@ -175,6 +175,29 @@ pub struct MachineNet {
     links: Vec<Link>,
     backplane: Option<Link>,
     routes: RouteTable,
+    /// Held by the one world run booking this net's links
+    /// ([`try_lease`](Self::try_lease)).
+    leased: AtomicBool,
+}
+
+/// The exclusive right to book a [`MachineNet`]'s links for one world
+/// run; dropping it releases the net.
+///
+/// Link booking is single-writer (see [`Resource`](beff_sim::Resource)):
+/// within a world the token scheduler orders every booking, and the
+/// lease keeps a second world off the net until the first has joined.
+/// Taking and releasing the lease are an acquire/release pair, so a
+/// run on one host thread sees every booking a previous run made on
+/// another.
+#[derive(Debug)]
+pub struct NetLease<'a> {
+    held: &'a AtomicBool,
+}
+
+impl Drop for NetLease<'_> {
+    fn drop(&mut self) {
+        self.held.store(false, Ordering::Release);
+    }
 }
 
 impl MachineNet {
@@ -190,7 +213,8 @@ impl MachineNet {
         let backplane = params
             .backplane
             .map(|t| Link::with_contention(t.latency, t.byte_time(), params.contention));
-        Self { topo, params, links, backplane, routes: RouteTable::new() }
+        let routes = RouteTable::new(topo.procs());
+        Self { topo, params, links, backplane, routes, leased: AtomicBool::new(false) }
     }
 
     pub fn procs(&self) -> usize {
@@ -207,9 +231,21 @@ impl MachineNet {
 
     /// The machine-wide shared route table: the split route from `src`
     /// to `dst`, memoized on first use and shared by every rank of every
-    /// world simulated on this machine.
-    pub fn split_route(&self, src: usize, dst: usize) -> Arc<SplitRoute> {
+    /// world simulated on this machine. A warm lookup is two indexed
+    /// loads and returns a borrow of the memoized route.
+    #[inline]
+    pub fn split_route(&self, src: usize, dst: usize) -> &SplitRoute {
         self.routes.split(&self.topo, src, dst)
+    }
+
+    /// Lease the net for one world run, or `None` while another run
+    /// holds it. Replicas ([`replica`](Self::replica)) carry their own
+    /// lease.
+    pub fn try_lease(&self) -> Option<NetLease<'_>> {
+        self.leased
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .ok()
+            .map(|_| NetLease { held: &self.leased })
     }
 
     /// Number of (src, dst) pairs memoized so far (diagnostics).
@@ -556,5 +592,17 @@ mod tests {
         net.reset();
         let b = net.transfer(3, 9, MB, 0.0);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn lease_is_exclusive_until_dropped_and_per_replica() {
+        let net = MachineNet::new(Topology::Ring { procs: 4 }, NetParams::default());
+        let lease = net.try_lease();
+        assert!(lease.is_some(), "an idle net leases");
+        assert!(net.try_lease().is_none(), "a held lease refuses a second world");
+        let twin = net.replica();
+        assert!(twin.try_lease().is_some(), "a replica has its own lease");
+        drop(lease);
+        assert!(net.try_lease().is_some(), "dropping the lease releases the net");
     }
 }

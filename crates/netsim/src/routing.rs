@@ -9,19 +9,22 @@
 //! (the old per-rank `RouteCache` cloned the topology and re-derived
 //! identical routes 512 times on the largest modeled system).
 //!
-//! Sim worlds run their ranks as fibers on one host thread, so a
-//! table is rarely contended; it stays thread-safe because a
-//! `MachineNet` is `Sync` and may be shared by worlds on several host
-//! threads (the parked-thread scheduler on non-x86_64 hosts, or any
-//! caller running two worlds on one net). Locking is sharded by pair,
-//! and steady-state lookups take a shard read lock only. The MPI layer
-//! looks each message's route up once, on the sender, and carries it to
-//! the receiver.
+//! The table is dense and lock-free: one row per source proc,
+//! allocated on that source's first send, holding one write-once slot
+//! per destination. A warm lookup is two indexed acquire loads (row,
+//! then slot) and hands out a borrow — no lock, no reference count.
+//! A miss computes the route once; a concurrent miss on the same slot
+//! (two worlds on two replicas never share a table, but a `MachineNet`
+//! is `Sync`) waits for the first and sees its route. Slots hold boxed
+//! routes, one pointer each, so the 512×512 table of the largest
+//! modeled machine costs ~4 MB of slots, not 512² inline routes.
+//!
+//! The MPI layer looks the route up on the sender (egress half) and
+//! again on the receiver (ingress half); the envelope carries only the
+//! sender's world rank.
 
 use crate::topology::Topology;
-use beff_sync::{Rank, RwLock};
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 /// A route split into sender-booked and receiver-booked halves.
 #[derive(Debug, Clone)]
@@ -40,64 +43,41 @@ impl SplitRoute {
     }
 }
 
-const SHARDS: usize = 16;
-
-/// Lock-hierarchy position of every route-table shard (DESIGN.md §8).
-/// One level for all 16 shards: no code path ever holds two shards at
-/// once (`split` touches exactly one, `len` reads them sequentially).
-static ROUTES_RANK: Rank = Rank::new(70, "netsim.routes");
+/// One source's destinations: a write-once boxed route per proc.
+type Row = Box<[OnceLock<Box<SplitRoute>>]>;
 
 /// Machine-wide, lazily-memoized all-pairs route table.
-///
-/// Shards hold `BTreeMap`s, not `HashMap`s: route enumeration order is
-/// structural (sorted by pair), never hasher-dependent, so any future
-/// diagnostic walk over the table is bitwise-reproducible for free.
 #[derive(Debug)]
 pub struct RouteTable {
-    shards: [RwLock<BTreeMap<(u32, u32), Arc<SplitRoute>>>; SHARDS],
-}
-
-impl Default for RouteTable {
-    fn default() -> Self {
-        Self::new()
-    }
+    rows: Box<[OnceLock<Row>]>,
 }
 
 impl RouteTable {
-    pub fn new() -> Self {
-        Self { shards: std::array::from_fn(|_| RwLock::ranked(&ROUTES_RANK, BTreeMap::new())) }
-    }
-
-    #[inline]
-    fn shard(src: usize, dst: usize) -> usize {
-        // src and dst are proc indices (< 2^16 in practice); mix both so
-        // neighboring pairs spread over the shards.
-        (src.wrapping_mul(31).wrapping_add(dst)) % SHARDS
+    /// An empty table for a machine of `procs` processors.
+    pub fn new(procs: usize) -> Self {
+        Self { rows: (0..procs).map(|_| OnceLock::new()).collect() }
     }
 
     /// The split route from `src` to `dst` (both halves empty for
     /// self-messages), computing and memoizing it on first use.
-    pub fn split(&self, topo: &Topology, src: usize, dst: usize) -> Arc<SplitRoute> {
-        let key = (src as u32, dst as u32);
-        let shard = &self.shards[Self::shard(src, dst)];
-        if let Some(r) = shard.read().get(&key) {
-            return Arc::clone(r);
-        }
-        // Compute outside the write lock; a racing thread may compute
-        // the same route, in which case the first insert wins.
-        let mut e = Vec::new();
-        let mut i = Vec::new();
-        topo.route_split_into(src, dst, &mut e, &mut i);
-        let route = Arc::new(SplitRoute {
-            egress: e.into_boxed_slice(),
-            ingress: i.into_boxed_slice(),
-        });
-        Arc::clone(shard.write().entry(key).or_insert(route))
+    #[inline]
+    pub fn split(&self, topo: &Topology, src: usize, dst: usize) -> &SplitRoute {
+        let procs = self.rows.len();
+        let row = self.rows[src].get_or_init(|| (0..procs).map(|_| OnceLock::new()).collect());
+        row[dst].get_or_init(|| {
+            let (mut e, mut i) = (Vec::new(), Vec::new());
+            topo.route_split_into(src, dst, &mut e, &mut i);
+            Box::new(SplitRoute { egress: e.into_boxed_slice(), ingress: i.into_boxed_slice() })
+        })
     }
 
     /// Number of memoized pairs (diagnostics).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.rows
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(|row| row.iter().filter(|slot| slot.get().is_some()).count())
+            .sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -112,7 +92,7 @@ mod tests {
     #[test]
     fn table_matches_topology_for_all_pairs() {
         let topo = Topology::Torus2D { dims: [4, 4] };
-        let table = RouteTable::new();
+        let table = RouteTable::new(16);
         for s in 0..16 {
             for d in 0..16 {
                 let sr = table.split(&topo, s, d);
@@ -129,7 +109,7 @@ mod tests {
     #[test]
     fn table_does_not_grow_on_repeats() {
         let topo = Topology::Ring { procs: 8 };
-        let table = RouteTable::new();
+        let table = RouteTable::new(8);
         table.split(&topo, 0, 1);
         table.split(&topo, 0, 1);
         table.split(&topo, 0, 1);
@@ -139,15 +119,15 @@ mod tests {
     #[test]
     fn repeated_lookups_share_one_allocation() {
         let topo = Topology::Crossbar { procs: 4 };
-        let table = RouteTable::new();
+        let table = RouteTable::new(4);
         let a = table.split(&topo, 1, 3);
         let b = table.split(&topo, 1, 3);
-        assert!(Arc::ptr_eq(&a, &b));
+        assert!(std::ptr::eq(a, b));
     }
 
     #[test]
     fn self_route_is_empty() {
-        let table = RouteTable::new();
+        let table = RouteTable::new(4);
         let sr = table.split(&Topology::Crossbar { procs: 4 }, 2, 2);
         assert!(sr.egress.is_empty() && sr.ingress.is_empty());
     }
@@ -155,11 +135,10 @@ mod tests {
     #[test]
     fn concurrent_warmup_is_consistent() {
         let topo = Topology::Torus3D { dims: [4, 4, 4] };
-        let table = Arc::new(RouteTable::new());
+        let table = RouteTable::new(64);
         std::thread::scope(|s| {
             for t in 0..8 {
-                let table = Arc::clone(&table);
-                let topo = &topo;
+                let (table, topo) = (&table, &topo);
                 s.spawn(move || {
                     for src in 0..64 {
                         let dst = (src + t + 1) % 64;
@@ -169,6 +148,6 @@ mod tests {
                 });
             }
         });
-        assert!(table.len() <= 64 * 8);
+        assert_eq!(table.len(), 64 * 8, "every pair memoized exactly once");
     }
 }

@@ -479,12 +479,17 @@ mod tests {
     #[test]
     fn concurrent_clients_share_servers() {
         let p = Arc::new(pfs(base_cfg()));
+        // Resources are booked single-writer (beff-sim `Resource`): in
+        // a world the token scheduler orders the clients' bookings;
+        // here a plain mutex stands in for the token.
+        let token = Arc::new(Mutex::new(()));
         let mut finishes = Vec::new();
         std::thread::scope(|s| {
             let hs: Vec<_> = (0..4)
                 .map(|c| {
-                    let p = Arc::clone(&p);
+                    let (p, token) = (Arc::clone(&p), Arc::clone(&token));
                     s.spawn(move || {
+                        let _turn = token.lock();
                         let (f, _) = p.open(&format!("f{c}"), 0.0);
                         p.write(c, &f, 0, DataRef::Len(25 * MB), 0.0)
                     })

@@ -35,6 +35,12 @@ pub enum BeffError {
     Watchdog { pattern: String, budget: f64, observed: f64 },
     /// An I/O layer failure.
     Io(String),
+    /// A simulated world was started on a machine network whose lease
+    /// another world run still holds (e.g. a rank closure starting a
+    /// world on its own net). Links are booked single-writer, so two
+    /// worlds may never price traffic on one net at once. Permanent:
+    /// replaying the same program nests the same way.
+    NetInUse,
 }
 
 impl fmt::Display for BeffError {
@@ -55,6 +61,9 @@ impl fmt::Display for BeffError {
                 write!(f, "watchdog: pattern {pattern} point took {observed:.4}s (budget {budget:.4}s)")
             }
             Self::Io(msg) => write!(f, "io: {msg}"),
+            Self::NetInUse => {
+                write!(f, "machine network already leased by a running world")
+            }
         }
     }
 }
@@ -69,7 +78,11 @@ impl BeffError {
     pub fn is_permanent(&self) -> bool {
         matches!(
             self,
-            Self::RankCrashed { .. } | Self::LinkDead { .. } | Self::Deadlock | Self::PeerFailed
+            Self::RankCrashed { .. }
+                | Self::LinkDead { .. }
+                | Self::Deadlock
+                | Self::PeerFailed
+                | Self::NetInUse
         )
     }
 

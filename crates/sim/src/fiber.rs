@@ -13,7 +13,9 @@
 //! * every fiber of a world is created, resumed and destroyed by one
 //!   host thread (the caller of `World::run`);
 //! * a fiber suspends only at explicit scheduler points (blocked recv,
-//!   collective rendezvous, exit) by switching back to the host;
+//!   collective rendezvous, exit): it switches straight to the next
+//!   ready fiber ([`FiberSet::switch`]) when there is one, and back to
+//!   the host otherwise (its exit always goes to the host);
 //! * panics never unwind across a switch: the rank body runs under
 //!   `catch_unwind` *inside* the fiber, and the stored result is
 //!   re-thrown on the host side;
@@ -129,6 +131,21 @@ impl FiberSet {
         // SAFETY: caller contract (driving host thread, initialized
         // fiber); the cells are written only by this thread.
         unsafe { fiber_switch(self.host_sp.get(), self.sps[rank].get()) };
+    }
+
+    /// Fiber → fiber: suspend `from` and continue `to` directly, without
+    /// a round trip through the host. Returns when some context
+    /// switches back to `from`.
+    ///
+    /// # Safety
+    /// Must be called from the fiber registered at `from`; `to` must be
+    /// a different, initialized, non-finished fiber of this set.
+    pub unsafe fn switch(&self, from: usize, to: usize) {
+        debug_assert_ne!(from, to, "a fiber cannot switch to itself");
+        // SAFETY: caller contract (called from `from`'s fiber, `to` is
+        // an initialized live fiber); `from`'s slot is saved here and
+        // `to`'s was saved by its last suspension or by `install`.
+        unsafe { fiber_switch(self.sps[from].get(), self.sps[to].get()) };
     }
 
     /// Fiber → host. Returns when the host resumes this fiber.
@@ -302,6 +319,42 @@ mod tests {
         unsafe { set.resume(0) };
         assert_eq!(out.get().to_bits(), host_acc.to_bits());
         assert!(stack.canary_intact());
+    }
+
+    /// Fiber → fiber switches skip the host: the host resumes fiber 0
+    /// once, and the two fibers ping-pong directly until fiber 1 hands
+    /// control back.
+    #[test]
+    fn direct_switches_bypass_the_host() {
+        let stacks = [FiberStack::new(STACK_SIZE), FiberStack::new(STACK_SIZE)];
+        let set = FiberSet::new(2);
+        let log = std::cell::RefCell::new(Vec::new());
+        for (r, stack) in stacks.iter().enumerate() {
+            let (set, log) = (&set, &log);
+            let sp = unsafe {
+                init_fiber(
+                    stack,
+                    Box::new(move || {
+                        for step in 0..3 {
+                            log.borrow_mut().push((r, step));
+                            if r == 1 && step == 2 {
+                                unsafe { set.to_host(r) };
+                            } else {
+                                unsafe { set.switch(r, 1 - r) };
+                            }
+                        }
+                        unreachable!("finished fiber must not be resumed");
+                    }),
+                )
+            };
+            set.install(r, sp);
+        }
+        unsafe { set.resume(0) };
+        assert_eq!(
+            log.borrow().as_slice(),
+            &[(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)]
+        );
+        assert!(stacks.iter().all(FiberStack::canary_intact));
     }
 
     /// Two fibers interleaved through the host in a fixed order.

@@ -1,4 +1,9 @@
 //! A network link: latency + per-byte occupancy over a [`Resource`].
+//!
+//! Links are booked single-writer, like the [`Resource`] under them:
+//! only the token holder of the one world leasing the net prices
+//! traffic, so the traffic counters are bumped with a plain load and
+//! store rather than a locked read-modify-write.
 
 use crate::resource::Resource;
 use crate::units::Secs;
@@ -71,8 +76,9 @@ impl Link {
             occ *= self.slowdown_at(head + self.latency);
         }
         let span = self.res.reserve_span(head + self.latency, occ);
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.messages.fetch_add(1, Ordering::Relaxed);
+        // Single writer (module docs): load + store, no locked RMW.
+        self.bytes.store(self.bytes.load(Ordering::Relaxed) + bytes, Ordering::Relaxed);
+        self.messages.store(self.messages.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         span
     }
 

@@ -31,13 +31,24 @@
 //! same start time, order-independent: the booked finish times are the
 //! same multiset regardless of the order the scheduler books them in.
 //!
-//! The next-free time is an `AtomicU64` holding `f64` bits, advanced by
-//! a compare-and-swap loop rather than under a lock: every message
-//! books several links, and an uncontended CAS is cheaper than a mutex
-//! round-trip. Each attempt performs exactly the float operations of
-//! one locked booking, so results stay bitwise-identical, and a lost
-//! race simply recomputes against the winner's horizon — reservations
-//! from threads sharing a resource still never overlap.
+//! ## Single-writer booking
+//!
+//! A resource has exactly one booker at a time. Reservation order *is*
+//! the simulation result (DESIGN.md §3), so every booking already runs
+//! under the token scheduler: a fibered world books from one host
+//! thread, and a parked-thread world hands the token over through the
+//! parker mutex, which orders one rank's bookings before the next
+//! rank's. A world run holds a lease on its machine's network
+//! (`MachineNet::try_lease` in beff-netsim), so two worlds never book
+//! one net's links at once; a simulated filesystem's servers and
+//! channels belong to the one world (or actor run) driving it.
+//!
+//! Booking is therefore a plain load of the next-free time, the float
+//! arithmetic, and a store — no compare-and-swap, no lock. The
+//! next-free time stays an `AtomicU64` holding `f64` bits, so sharing a
+//! resource across threads is still memory-safe; two *concurrent*
+//! bookers outside that contract may lose one of their updates, which
+//! is why the contract exists.
 
 use crate::units::Secs;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -94,23 +105,13 @@ impl Resource {
     /// `duration` themselves.
     pub fn reserve_span(&self, earliest: Secs, duration: Secs) -> (Secs, Secs) {
         debug_assert!(duration >= 0.0, "negative duration {duration}");
-        let mut seen = self.next_free.load(Ordering::Acquire);
-        loop {
-            let nf = f64::from_bits(seen);
-            let start = earliest.max(nf);
-            // Queued behind pending work ⇒ contended ⇒ fair-share billing.
-            let occupancy = if nf > earliest { duration * self.contention } else { duration };
-            let finish = start + occupancy;
-            match self.next_free.compare_exchange(
-                seen,
-                finish.to_bits(),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return (start, finish),
-                Err(now) => seen = now,
-            }
-        }
+        let nf = f64::from_bits(self.next_free.load(Ordering::Relaxed));
+        let start = earliest.max(nf);
+        // Queued behind pending work ⇒ contended ⇒ fair-share billing.
+        let occupancy = if nf > earliest { duration * self.contention } else { duration };
+        let finish = start + occupancy;
+        self.next_free.store(finish.to_bits(), Ordering::Relaxed);
+        (start, finish)
     }
 
     /// Like [`reserve`](Self::reserve) but returns the *finish* time,
@@ -122,13 +123,13 @@ impl Resource {
 
     /// Current next-free time (for drain/sync style queries).
     pub fn horizon(&self) -> Secs {
-        f64::from_bits(self.next_free.load(Ordering::Acquire))
+        f64::from_bits(self.next_free.load(Ordering::Relaxed))
     }
 
     /// Reset to idle at t=0 (used between benchmark repetitions in
     /// tests; production runs never rewind time).
     pub fn reset(&self) {
-        self.next_free.store(0f64.to_bits(), Ordering::Release);
+        self.next_free.store(0f64.to_bits(), Ordering::Relaxed);
     }
 }
 
@@ -232,58 +233,71 @@ mod tests {
         Resource::with_contention(0.5);
     }
 
+    /// The single-writer contract, end to end: ranks on parked OS
+    /// threads book one contended link (factor 2.0) in token order,
+    /// rotating the token after every booking. The `(start, finish)`
+    /// spans and the traffic counters match, bit for bit, the same
+    /// script on fibers and a serial reference that books round by
+    /// round in rank order — the parker mutex orders the bookings, so
+    /// an unlocked booking loses nothing.
     #[test]
-    fn concurrent_reservations_never_overlap() {
-        use std::sync::Arc;
-        let r = Arc::new(Resource::new());
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let r = Arc::clone(&r);
-            handles.push(std::thread::spawn(move || {
-                let mut spans = Vec::new();
-                for _ in 0..100 {
-                    let s = r.reserve(0.0, 0.5);
-                    spans.push((s, s + 0.5));
-                }
-                spans
-            }));
-        }
-        let mut all: Vec<(f64, f64)> =
-            handles.into_iter().flat_map(|h| h.join().unwrap()).collect();
-        all.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        for w in all.windows(2) {
-            assert!(w[0].1 <= w[1].0 + 1e-9, "overlapping spans {w:?}");
-        }
-        assert_eq!(r.horizon(), 8.0 * 100.0 * 0.5);
-    }
+    fn token_ordered_bookings_match_the_serial_reference() {
+        use crate::link::Link;
+        use crate::sched::{testkit, SimScheduler};
+        use beff_sync::Mutex;
+        const RANKS: usize = 6;
+        const ROUNDS: usize = 40;
+        // Rounds 1 ms apart let the link drain, so each round's first
+        // booking finds it idle and the other five queue (and pay the
+        // factor).
+        let request = |rank: usize, round: usize| {
+            (round as f64 * 1e-3 + rank as f64 * 1e-6, 1000 + 700 * rank as u64)
+        };
+        let new_link = || Link::with_contention(1e-6, 1e-8, 2.0);
+        type Booked = Vec<(usize, usize, u64, u64)>;
+        let book = |link: &Link, log: &mut Booked, rank: usize, round: usize| {
+            let (head, bytes) = request(rank, round);
+            let (start, finish) = link.traverse(head, bytes);
+            log.push((rank, round, start.to_bits(), finish.to_bits()));
+        };
 
-    #[test]
-    fn concurrent_contended_reservations_never_overlap() {
-        // Fair-share mode under thread contention: a lost CAS must
-        // recompute the contended billing against the winner's horizon.
-        // Every request wants t=0, so all but the first queue and pay
-        // the factor; the horizon is the serial sum of billed spans.
-        use std::sync::Arc;
-        let r = Arc::new(Resource::with_contention(2.0));
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let r = Arc::clone(&r);
-                std::thread::spawn(move || {
-                    (0..100).map(|_| r.reserve_span(0.0, 0.5)).collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        let mut all: Vec<(f64, f64)> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect();
-        all.sort_by(|a, b| a.0.total_cmp(&b.0));
-        for w in all.windows(2) {
-            assert!(w[0].1 <= w[1].0, "overlapping spans {w:?}");
+        let serial_link = new_link();
+        let mut serial = Vec::new();
+        for round in 0..ROUNDS {
+            for rank in 0..RANKS {
+                book(&serial_link, &mut serial, rank, round);
+            }
         }
-        let billed: f64 = all.iter().map(|&(s, f)| f - s).sum();
-        assert_eq!(all[0], (0.0, 0.5), "only the first booking is uncontended");
-        assert_eq!(r.horizon(), billed);
-        assert_eq!(r.horizon(), 0.5 + 799.0 * 1.0);
+        let contended = serial.windows(2).filter(|w| w[1].2 == w[0].3).count();
+        assert_eq!(contended, (RANKS - 1) * ROUNDS, "one idle booking per round, the rest queue");
+
+        let scripted = |run: fn(usize, &testkit::Script<'_>) -> _| {
+            let link = new_link();
+            let log = Mutex::new(Vec::new());
+            let body = |s: &SimScheduler, rank: usize| {
+                for round in 0..ROUNDS {
+                    book(&link, &mut log.lock(), rank, round);
+                    if round + 1 < ROUNDS {
+                        s.yield_turn(rank);
+                    }
+                }
+            };
+            let (raised, audit): (Vec<_>, crate::sched::SchedAudit) = run(RANKS, &body);
+            assert!(raised.iter().all(Option::is_none) && audit.balanced());
+            (log.into_inner(), link.bytes_carried(), link.messages_carried(), link.horizon())
+        };
+        let counters = (serial_link.bytes_carried(), serial_link.messages_carried());
+        let (parked, bytes, msgs, horizon) = scripted(testkit::run_parked);
+        assert_eq!(parked, serial);
+        assert_eq!((bytes, msgs), counters);
+        assert_eq!(msgs, (RANKS * ROUNDS) as u64);
+        assert_eq!(horizon.to_bits(), serial_link.horizon().to_bits());
+        #[cfg(target_arch = "x86_64")]
+        {
+            let (fibered, bytes, msgs, horizon) = scripted(testkit::run_fibers);
+            assert_eq!(fibered, serial);
+            assert_eq!((bytes, msgs), counters);
+            assert_eq!(horizon.to_bits(), serial_link.horizon().to_bits());
+        }
     }
 }

@@ -31,13 +31,25 @@
 //!   world runs on the caller's thread; a handoff is a ~20-instruction
 //!   stack switch (see [`crate::fiber`]). This is the fast path — OS
 //!   thread handoffs measure ~4–5 µs each on one core at 512 ranks,
-//!   and a large run makes millions of them.
+//!   and a large run makes millions of them. A rank that blocks marks
+//!   itself blocked and pops the next ready rank under one `inner`
+//!   lock, releases it, and switches fiber → fiber directly. Only an
+//!   empty ready queue (deadlock) or an abort goes back to the host's
+//!   drive loop, which also starts the world, and reaps finished and
+//!   unwinding fibers.
 //! * **parked threads** (any platform): one OS thread per rank, each
-//!   parked on a private condvar until granted. Real-mode worlds and
-//!   non-x86_64 builds use this.
+//!   parked on a private condvar until granted. The actor runtime and
+//!   non-x86_64 sim worlds use this; real-mode worlds have no
+//!   scheduler at all.
 //!
 //! Both replay the same FIFO ready-queue order, so they produce
-//! bit-identical results; tests assert that equivalence.
+//! bit-identical results; the `park_and_fiber_replay_one_token_order`
+//! test runs one scripted workload under both and compares the logs.
+//!
+//! The handoff also orders link bookings: only the token holder books,
+//! so the fiber switch (one host thread) or the parker mutex (parked
+//! threads) puts every booking of one rank before the next rank's —
+//! the single-writer contract of [`Resource`](crate::resource::Resource).
 //!
 //! Deadlock (every live rank blocked) is detected at token-handoff
 //! time and turns into a panic on every live rank rather than a hang.
@@ -47,7 +59,7 @@ use crate::fiber::FiberSet;
 use crate::error::BeffError;
 use beff_sync::{Condvar, Mutex, Rank};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Lock-hierarchy positions (DESIGN.md §8): the scheduler state is
 /// taken before any per-rank parker flag (`grant_next` holds `inner`
@@ -100,8 +112,6 @@ struct SchedState {
     finished: Vec<bool>,
     /// Ranks whose closure has not finished.
     live: usize,
-    /// Every live rank is blocked: wake them all into a panic.
-    deadlocked: bool,
     /// A rank panicked: determinism is moot, wake everyone so they
     /// observe mailbox poison.
     aborted: bool,
@@ -120,6 +130,11 @@ enum Mech {
 /// One token scheduler per simulated world run.
 pub struct SimScheduler {
     inner: Mutex<SchedState>,
+    /// Every live rank is blocked: wake them all into a panic. Written
+    /// only under `inner`; read without it by a rank that has just been
+    /// resumed or granted (the switch or the parker mutex orders the
+    /// write before the read).
+    deadlocked: AtomicBool,
     mech: Mech,
     /// Token accounting: every grant issued must eventually be consumed
     /// (by a park that wakes, or drained from a rank that will never
@@ -157,7 +172,6 @@ fn new_state(n: usize) -> SchedState {
         blocked: vec![false; n],
         finished: vec![false; n],
         live: n,
-        deadlocked: false,
         aborted: false,
     }
 }
@@ -169,6 +183,7 @@ impl SimScheduler {
         assert!(n > 0);
         let sched = Self {
             inner: Mutex::ranked(&SCHED_STATE_RANK, new_state(n)),
+            deadlocked: AtomicBool::new(false),
             mech: Mech::Park((0..n).map(|_| Parker::new()).collect()),
             granted: AtomicU64::new(0),
             consumed: AtomicU64::new(0),
@@ -190,6 +205,7 @@ impl SimScheduler {
         st.ready.push_front(0);
         Self {
             inner: Mutex::ranked(&SCHED_STATE_RANK, st),
+            deadlocked: AtomicBool::new(false),
             mech: Mech::Fiber(FiberSet::new(n)),
             granted: AtomicU64::new(0),
             consumed: AtomicU64::new(0),
@@ -210,13 +226,13 @@ impl SimScheduler {
     /// panic path. (Thread mode only; the fiber drive loop plays this
     /// role in fiber mode.)
     fn grant_next(&self, st: &mut SchedState, parkers: &[Parker]) {
-        if st.aborted || st.deadlocked {
+        if st.aborted || self.is_deadlocked() {
             return; // everyone has already been woken
         }
         if let Some(next) = st.ready.pop_front() {
             self.count_grant(parkers[next].grant());
         } else if st.live > 0 {
-            st.deadlocked = true;
+            self.deadlocked.store(true, Ordering::Relaxed);
             for (r, p) in parkers.iter().enumerate() {
                 if !st.finished[r] {
                     self.count_grant(p.grant());
@@ -237,6 +253,43 @@ impl SimScheduler {
         self.consumed.fetch_add(1, Ordering::Relaxed);
     }
 
+    #[inline]
+    fn is_deadlocked(&self) -> bool {
+        self.deadlocked.load(Ordering::Relaxed)
+    }
+
+    /// After a rank regains the token: raise if it was woken into the
+    /// deadlock protocol rather than by a peer.
+    #[inline]
+    fn raise_if_deadlocked(&self) {
+        if self.is_deadlocked() {
+            BeffError::Deadlock.raise();
+        }
+    }
+
+    /// Fiber mode: the running rank gives up the token. Switch straight
+    /// to `next` if a peer is ready, else back to the host's drive loop
+    /// (deadlock, abort). Returns when this rank is resumed.
+    ///
+    /// # Safety
+    /// Must be called from `rank`'s own fiber, with no lock held.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn hand_off(&self, fs: &FiberSet, rank: usize, next: Option<usize>) {
+        match next {
+            Some(next) => {
+                // A direct switch is a grant consumed synchronously.
+                self.count_grant(true);
+                self.count_consume();
+                // SAFETY: `rank` is the running fiber (caller contract)
+                // and `next` came off the ready queue, so it is an
+                // installed, unfinished fiber other than `rank`.
+                unsafe { fs.switch(rank, next) };
+            }
+            // SAFETY: called from rank's own fiber (caller contract).
+            None => unsafe { fs.to_host(rank) },
+        }
+    }
+
     /// Block until this rank holds the token (no-op in fiber mode: a
     /// fiber only runs while it holds the token). Panics if the world
     /// deadlocked while this rank was parked.
@@ -249,9 +302,7 @@ impl SimScheduler {
             #[cfg(target_arch = "x86_64")]
             Mech::Fiber(_) => {}
         }
-        if self.inner.lock().deadlocked {
-            BeffError::Deadlock.raise();
-        }
+        self.raise_if_deadlocked();
     }
 
     /// The token holder blocks (recv miss or collective wait): release
@@ -269,13 +320,19 @@ impl SimScheduler {
             }
             #[cfg(target_arch = "x86_64")]
             Mech::Fiber(fs) => {
-                self.inner.lock().blocked[rank] = true;
+                let next = {
+                    let mut st = self.inner.lock();
+                    st.blocked[rank] = true;
+                    if st.aborted || self.is_deadlocked() {
+                        None
+                    } else {
+                        st.ready.pop_front()
+                    }
+                };
                 // SAFETY: called from rank's own fiber (scheduler
-                // contract); the drive loop resumes us later.
-                unsafe { fs.to_host(rank) };
-                if self.inner.lock().deadlocked {
-                    BeffError::Deadlock.raise();
-                }
+                // contract), and the state lock is released above.
+                unsafe { self.hand_off(fs, rank, next) };
+                self.raise_if_deadlocked();
             }
         }
     }
@@ -302,7 +359,7 @@ impl SimScheduler {
             Mech::Park(parkers) => {
                 {
                     let mut st = self.inner.lock();
-                    if st.ready.is_empty() || st.aborted || st.deadlocked {
+                    if st.ready.is_empty() || st.aborted || self.is_deadlocked() {
                         return;
                     }
                     st.ready.push_back(rank);
@@ -312,20 +369,19 @@ impl SimScheduler {
             }
             #[cfg(target_arch = "x86_64")]
             Mech::Fiber(fs) => {
-                {
+                let next = {
                     let mut st = self.inner.lock();
-                    if st.ready.is_empty() || st.aborted || st.deadlocked {
+                    if st.ready.is_empty() || st.aborted || self.is_deadlocked() {
                         return;
                     }
                     st.ready.push_back(rank);
-                }
+                    st.ready.pop_front()
+                };
                 // SAFETY: called from rank's own fiber (scheduler
-                // contract); the drive loop resumes us from the ready
-                // queue we just joined.
-                unsafe { fs.to_host(rank) };
-                if self.inner.lock().deadlocked {
-                    BeffError::Deadlock.raise();
-                }
+                // contract), and the state lock is released above; a
+                // peer resumes us from the ready queue we just joined.
+                unsafe { self.hand_off(fs, rank, next) };
+                self.raise_if_deadlocked();
             }
         }
     }
@@ -359,7 +415,7 @@ impl SimScheduler {
             return;
         }
         st.aborted = true;
-        if st.deadlocked {
+        if self.is_deadlocked() {
             // The deadlock detector already granted every unfinished
             // rank exactly once; granting again would hand unwinding
             // ranks tokens nobody will ever consume.
@@ -397,7 +453,7 @@ impl SimScheduler {
             ready: st.ready.len(),
             blocked: st.blocked.iter().filter(|&&b| b).count(),
             finished: st.finished.iter().filter(|&&f| f).count(),
-            deadlocked: st.deadlocked,
+            deadlocked: self.is_deadlocked(),
             aborted: st.aborted,
         }
     }
@@ -429,6 +485,9 @@ impl SimScheduler {
     /// the same FIFO token order as the thread-parking mechanism:
     /// rank 0 first, then the ready queue; on deadlock or abort, every
     /// unfinished fiber is resumed (in rank order) so it can unwind.
+    /// Control comes back here only when a fiber finishes, or yields
+    /// with nobody ready or after an abort; handoffs between runnable
+    /// ranks switch fiber → fiber without visiting the host.
     #[cfg(target_arch = "x86_64")]
     pub fn drive_fibers(&self) {
         let Mech::Fiber(fs) = &self.mech else {
@@ -440,14 +499,14 @@ impl SimScheduler {
                 if st.live == 0 {
                     return;
                 }
-                if st.aborted || st.deadlocked {
+                if st.aborted || self.is_deadlocked() {
                     st.finished.iter().position(|&f| !f)
                 } else if let Some(r) = st.ready.pop_front() {
                     Some(r)
                 } else {
                     // Every live rank is blocked: flip to the deadlock
                     // protocol and resume them into the panic path.
-                    st.deadlocked = true;
+                    self.deadlocked.store(true, Ordering::Relaxed);
                     st.finished.iter().position(|&f| !f)
                 }
             };
@@ -460,6 +519,88 @@ impl SimScheduler {
             // runtime before driving started.
             unsafe { fs.resume(r) };
         }
+    }
+}
+
+/// Test harness: run one scripted rank body under each switch
+/// mechanism with the runtime's per-rank protocol (wait for the token,
+/// run, then `finish` — or, on a raise, `abort` + `drain_grant`).
+/// Each returns the typed error every rank raised (if any) and the
+/// terminal audit.
+#[cfg(test)]
+pub(crate) mod testkit {
+    use super::{SchedAudit, SimScheduler};
+    use crate::error::BeffError;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// A rank body; it runs while holding the token.
+    pub(crate) type Script<'a> = dyn Fn(&SimScheduler, usize) + Sync + 'a;
+
+    fn rank_protocol(s: &SimScheduler, rank: usize, body: &Script<'_>) -> Option<BeffError> {
+        let out = catch_unwind(AssertUnwindSafe(|| {
+            s.wait_turn(rank);
+            body(s, rank);
+        }));
+        match out {
+            Ok(()) => {
+                s.finish(rank);
+                None
+            }
+            Err(payload) => {
+                s.abort();
+                s.drain_grant(rank);
+                let typed = payload.downcast::<BeffError>().map(|e| *e);
+                Some(typed.unwrap_or_else(|_| BeffError::Io("untyped panic".into())))
+            }
+        }
+    }
+
+    /// One parked OS thread per rank ([`SimScheduler::new`]).
+    pub(crate) fn run_parked(n: usize, body: &Script<'_>) -> (Vec<Option<BeffError>>, SchedAudit) {
+        crate::error::silence_fault_panics();
+        let s = SimScheduler::new(n);
+        let raised = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..n)
+                .map(|rank| {
+                    let s = &s;
+                    scope.spawn(move || rank_protocol(s, rank, body))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
+        (raised, s.audit())
+    }
+
+    /// One fiber per rank on this thread ([`SimScheduler::new_fibers`]).
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn run_fibers(n: usize, body: &Script<'_>) -> (Vec<Option<BeffError>>, SchedAudit) {
+        use crate::fiber::{init_fiber, FiberStack, STACK_SIZE};
+        crate::error::silence_fault_panics();
+        let s = SimScheduler::new_fibers(n);
+        let raised = std::cell::RefCell::new(vec![None; n]);
+        let stacks: Vec<FiberStack> = (0..n).map(|_| FiberStack::new(STACK_SIZE)).collect();
+        for (rank, stack) in stacks.iter().enumerate() {
+            let (s, raised) = (&s, &raised);
+            // SAFETY: the stacks and every borrow in the body outlive
+            // `drive_fibers` below, which runs each fiber to its final
+            // switch (`fiber_exit`).
+            let sp = unsafe {
+                init_fiber(
+                    stack,
+                    Box::new(move || {
+                        raised.borrow_mut()[rank] = rank_protocol(s, rank, body);
+                        s.fiber_exit(rank);
+                    }),
+                )
+            };
+            s.fibers().install(rank, sp);
+        }
+        s.drive_fibers();
+        assert!(stacks.iter().all(FiberStack::canary_intact));
+        (raised.into_inner(), s.audit())
     }
 }
 
@@ -620,5 +761,86 @@ mod tests {
         for st in &stacks {
             assert!(st.canary_intact());
         }
+    }
+
+    /// Both mechanisms replay one token order: a scripted workload with
+    /// several block/unblock rounds, a cooperative rotation, one rank
+    /// (0) re-queued twice plus a redundant unblock, and a final
+    /// all-blocked deadlock. The event logs, the per-rank `Deadlock`
+    /// raises and the terminal audits must be identical, and the log
+    /// must be the FIFO order derived by hand.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn park_and_fiber_replay_one_token_order() {
+        fn script(log: &Mutex<Vec<(usize, &'static str)>>, s: &SimScheduler, rank: usize) {
+            let note = |what| log.lock().push((rank, what));
+            note("start");
+            match rank {
+                0 => {
+                    s.yield_blocked(0);
+                    note("resumed");
+                    s.yield_blocked(0);
+                    note("resumed again");
+                }
+                1 => {
+                    s.unblock(0);
+                    s.unblock(0); // already re-queued: a no-op
+                    s.yield_blocked(1);
+                    note("resumed");
+                    s.unblock(0);
+                }
+                2 => {
+                    s.yield_turn(2);
+                    note("rotated");
+                    s.unblock(1);
+                    s.unblock(3);
+                }
+                _ => {
+                    s.yield_blocked(3);
+                    note("resumed");
+                }
+            }
+            // Nobody is left to unblock anyone: the world deadlocks.
+            s.yield_blocked(rank);
+            note("escaped the deadlock");
+        }
+        let run = |fibers: bool| {
+            let log = Mutex::new(Vec::new());
+            let body = |s: &SimScheduler, rank: usize| script(&log, s, rank);
+            let (raised, audit) = if fibers {
+                testkit::run_fibers(4, &body)
+            } else {
+                testkit::run_parked(4, &body)
+            };
+            (log.into_inner(), raised, audit)
+        };
+        let (park_log, park_raised, park_audit) = run(false);
+        let (fiber_log, fiber_raised, fiber_audit) = run(true);
+        assert_eq!(
+            park_log,
+            [
+                (0, "start"),
+                (1, "start"),
+                (2, "start"),
+                (3, "start"),
+                (0, "resumed"),
+                (2, "rotated"),
+                (1, "resumed"),
+                (3, "resumed"),
+                (0, "resumed again"),
+            ]
+        );
+        assert_eq!(fiber_log, park_log);
+        assert_eq!(park_raised, vec![Some(BeffError::Deadlock); 4]);
+        assert_eq!(fiber_raised, park_raised);
+        assert!(park_audit.balanced() && fiber_audit.balanced());
+        assert!(park_audit.deadlocked && park_audit.aborted);
+        // 1 start + 8 handoffs + 4 deadlock wakeups, in both mechanisms.
+        assert_eq!(park_audit.granted, 13);
+        // A raising rank never calls `finish`; only `fiber_exit` marks
+        // its fiber finished (so the drive loop never resumes it), so
+        // the live/finished split differs by design.
+        let tokens = |a: SchedAudit| SchedAudit { live: 0, finished: 0, ..a };
+        assert_eq!(tokens(fiber_audit), tokens(park_audit));
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! Two layers:
 //!
-//! * [`Mutex`] / [`Condvar`] / [`RwLock`] — thin wrappers over
+//! * [`Mutex`] / [`Condvar`] — thin wrappers over
 //!   `std::sync` with the `parking_lot` API shape: `lock()` returns the
 //!   guard directly (a poisoned lock is unwrapped — a rank that
 //!   panicked already poisons its world through the mailbox protocol,
@@ -22,10 +22,8 @@ pub mod channel;
 mod condvar;
 mod mutex;
 pub mod order;
-mod rwlock;
 
 pub use channel::{bounded, unbounded, Receiver, RecvError, SendError, Sender, TryRecvError};
 pub use condvar::{Condvar, WaitTimeoutResult};
 pub use mutex::{Mutex, MutexGuard};
 pub use order::Rank;
-pub use rwlock::{RwLock, RwLockReadGuard, RwLockWriteGuard};

@@ -2,8 +2,7 @@
 //! hierarchy (DESIGN.md §8, `beff-analyze` rule `lock-order`).
 //!
 //! Each lock that participates in the hierarchy is constructed with
-//! [`Mutex::ranked`](crate::Mutex::ranked) /
-//! [`RwLock::ranked`](crate::RwLock::ranked), naming a static [`Rank`].
+//! [`Mutex::ranked`](crate::Mutex::ranked), naming a static [`Rank`].
 //! With the `lock-order` cargo feature enabled, every acquisition is
 //! checked against a thread-local set of currently held ranks: taking a
 //! lock whose level is not strictly greater than every held level

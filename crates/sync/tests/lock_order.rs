@@ -4,7 +4,7 @@
 //! back correctly.
 #![cfg(feature = "lock-order")]
 
-use beff_sync::{Condvar, Mutex, Rank, RwLock};
+use beff_sync::{Condvar, Mutex, Rank};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -28,15 +28,15 @@ fn increasing_acquisition_is_always_clean() {
     beff_check::check("any increasing subset of ranked locks nests cleanly", |g| {
         let m20 = Mutex::ranked(&L20, 0u32);
         let m40 = Mutex::ranked(&L40, 0u32);
-        let r60 = RwLock::ranked(&L60, 0u32);
+        let m60 = Mutex::ranked(&L60, 0u32);
         // Each level independently present or absent; acquisition in
         // level order must never trip the checker.
         let _g20 = g.bool().then(|| m20.lock());
         let _g40 = g.bool().then(|| m40.lock());
         let _g60 = if g.bool() {
-            Some(r60.read())
+            Some(m60.lock())
         } else {
-            g.bool().then(|| r60.read())
+            g.bool().then(|| m60.lock())
         };
         // Guards drop in reverse declaration order; next case starts
         // from an empty lockset.
@@ -49,14 +49,14 @@ fn inverted_acquisition_panics() {
         let m20 = Mutex::ranked(&L20, ());
         let m40 = Mutex::ranked(&L40, ());
         let m40b = Mutex::ranked(&L40B, ());
-        let r60 = RwLock::ranked(&L60, ());
+        let m60 = Mutex::ranked(&L60, ());
         match g.usize(0..=3) {
             0 => {
                 let _held = m40.lock();
                 beff_check::ensure!(panics(|| drop(m20.lock())), "40 then 20 must panic");
             }
             1 => {
-                let _held = r60.write();
+                let _held = m60.lock();
                 beff_check::ensure!(panics(|| drop(m40.lock())), "60 then 40 must panic");
             }
             2 => {
@@ -65,10 +65,11 @@ fn inverted_acquisition_panics() {
                 beff_check::ensure!(panics(|| drop(m40b.lock())), "40 then 40 must panic");
             }
             _ => {
-                // Read-read on one level is rejected too — a queued
-                // writer between the two reads deadlocks both.
-                let _held = r60.read();
-                beff_check::ensure!(panics(|| drop(r60.read())), "60 then 60 must panic");
+                // Re-taking the held lock itself is rejected too: the
+                // check runs before blocking, so a self-deadlock panics
+                // instead of hanging.
+                let _held = m60.lock();
+                beff_check::ensure!(panics(|| drop(m60.lock())), "60 then 60 must panic");
             }
         }
     });
